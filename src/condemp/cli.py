@@ -12,13 +12,11 @@ import json
 import os
 import sys
 
-from .harness import (ConfigError, ExperimentConfig, mu0_measure, resolve_nu,
-                      run_convergence, run_mc_crosscheck, run_sandwich,
-                      spectral_measure)
-from .limits import compute_I, compute_I_neumann
+from .harness import (ConfigError, ExperimentConfig, interval_basis, limit_report,
+                      mu0_measure, resolve_nu, run_convergence, run_mc_crosscheck,
+                      run_sandwich, spectral_measure, w2_by_method)
 from .semigroup import conditional_density, export_density_csv
 from .spectral import mu_coefficients, project
-from .transport import w2_entropic, w2_exact_discrete, w2_quantile_1d
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -60,20 +58,19 @@ def cmd_project(args) -> int:
     basis = cfg.build_basis()
     nu = resolve_nu(cfg.nu_spec, basis)
     nu_c = project(nu, basis)
-    mu_c = mu_coefficients(basis)
-    doc = {"schema": "condemp.coefficients/1", "source": nu_c.source,
-           "nu": nu_c.values.tolist(), "mu": mu_c.values.tolist(),
+    doc = {"schema": "condemp.coefficients/1", "source": nu.label(),
+           "nu": nu_c.tolist(), "mu": mu_coefficients(basis).tolist(),
            "eigenvalues": basis.eigenvalues.tolist()}
     path = os.path.join(cfg.out, "coefficients.json")
     with open(path, "w") as fh:
         json.dump(doc, fh)
-    print(f"project: wrote {len(nu_c)} coefficients for {nu_c.source} -> {path}")
+    print(f"project: wrote {nu_c.size} coefficients for {nu.label()} -> {path}")
     return 0
 
 
 def cmd_density(args) -> int:
     cfg = _load(args)
-    basis = cfg.build_basis()
+    basis = interval_basis(cfg, "density")
     nu = resolve_nu(cfg.nu_spec, basis)
     for t in ([args.t] if args.t is not None else cfg.times):
         cd = conditional_density(nu, basis, float(t), target_tol=cfg.tol)
@@ -86,15 +83,7 @@ def cmd_density(args) -> int:
 
 def cmd_limit(args) -> int:
     cfg = _load(args)
-    basis = cfg.build_basis()
-    nu = resolve_nu(cfg.nu_spec, basis)
-    nu_c = project(nu, basis)
-    if basis.domain.boundary == "neumann":
-        report = compute_I_neumann(nu_c.values, basis.eigenvalues, tol=max(cfg.tol, 1e-9))
-    else:
-        mu_c = mu_coefficients(basis)
-        report = compute_I(nu_c.values, mu_c.values, basis.eigenvalues,
-                           tol=cfg.tol, d=basis.domain.dim)
+    report = limit_report(cfg, cfg.build_basis())
     path = os.path.join(cfg.out, "limit.json")
     report.save(path)
     print(f"limit: I={report.I_value:.12e} tail<={report.tail_bound:.2e} "
@@ -104,20 +93,12 @@ def cmd_limit(args) -> int:
 
 def cmd_w2(args) -> int:
     cfg = _load(args)
-    basis = cfg.build_basis()
+    basis = interval_basis(cfg, "w2")
     nu = resolve_nu(cfg.nu_spec, basis)
     t = float(args.t if args.t is not None else cfg.times[0])
     cd = conditional_density(nu, basis, t, target_tol=cfg.tol)
-    mt = spectral_measure(cd, basis, cfg.grid_nodes)
-    m0 = mu0_measure(basis, cfg.grid_nodes)
-    if cfg.w2_method == "quantile1d":
-        res = w2_quantile_1d(mt, m0, n_quantiles=cfg.n_quantiles)
-    elif cfg.w2_method == "exact-discrete":
-        x1, a1 = mt.atomize(384)
-        x2, a2 = m0.atomize(384)
-        res = w2_exact_discrete(x1, a1, x2, a2, keep_plan=False)
-    else:
-        res = w2_entropic(mt, m0)
+    res = w2_by_method(cfg.w2_method, spectral_measure(cd, basis, cfg.grid_nodes),
+                       mu0_measure(basis, cfg.grid_nodes), cfg.n_quantiles)
     doc = {"t": t, "w2": res.w2, "w2_squared": res.w2_squared,
            "method": res.method, "error_estimate": res.error_estimate,
            "tail_bound": cd.truncation.tail_estimate, "seed": cfg.seed}
@@ -131,7 +112,6 @@ def cmd_w2(args) -> int:
 def cmd_converge(args) -> int:
     cfg = _load(args)
     report = run_convergence(cfg)
-    report.save(cfg.out)
     last = report.rows[-1]
     print(f"converge: I={report.limit.I_value:.9e} "
           f"gap(t={last['t']:g})={last['rel_gap']:+.4f} "

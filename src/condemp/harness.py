@@ -17,18 +17,19 @@ import numpy as np
 from .domains import DIRICHLET, NEUMANN, Domain
 from .limits import LimitReport, compute_I, compute_I_neumann
 from .measures import GridMeasure, InitialDistribution
-from .mc import (PathEnsembleSummary, SimulationConfig, conditional_empirical_w2,
-                 simulate)
+from .mc import SimulationConfig, conditional_empirical_w2, simulate
 from .semigroup import (ConditionalDensity, conditional_density,
                         mean_empirical_density, rho_tilde, survival_probability)
-from .spectral import (ModeCoefficients, SpectralBasis, build_analytic_basis,
-                       mu_coefficients, project, solve_sturm_liouville)
-from .transport import (h_minus1_upper_bound, kantorovich_dual_lower,
-                        w1_grid_1d, w2_entropic, w2_exact_discrete,
-                        w2_quantile_1d)
+from .spectral import (SpectralBasis, analytic_eigenvalues, build_analytic_basis,
+                       mu_coefficients, nu_l2_budget, project,
+                       solve_sturm_liouville)
+from .transport import (atomization_error, h_minus1_upper_bound,
+                        kantorovich_dual_lower, w1_grid_1d, w2_entropic,
+                        w2_exact_discrete, w2_quantile_1d)
 
 __all__ = ["ConfigError", "ExperimentConfig", "ConvergenceReport",
            "run_convergence", "run_sandwich", "run_mc_crosscheck",
+           "limit_report", "w2_by_method", "interval_basis",
            "spectral_measure", "mu0_measure", "resolve_nu"]
 
 CONFIG_VERSION = "1"
@@ -41,6 +42,8 @@ _ALLOWED_MC_KEYS = {
     "dt", "n_paths", "islands", "resample", "n_bins", "checkpoints",
     "horizon", "slope_times",
 }
+W2_METHODS = ("quantile1d", "exact-discrete", "entropic")
+EXACT_ATOMS = 384      # atoms per side of the exact LP route
 
 
 class ConfigError(ValueError):
@@ -80,6 +83,9 @@ class ExperimentConfig:
         times = [float(t) for t in doc.get("times", [2.0, 4.0, 8.0, 16.0])]
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ConfigError("time grid must be strictly increasing")
+        w2_method = str(doc.get("w2_method", "quantile1d"))
+        if w2_method not in W2_METHODS:
+            raise ConfigError(f"unknown w2_method {w2_method!r}; choose from {list(W2_METHODS)}")
         return cls(
             domain=Domain.from_dict(doc["domain"]),
             nu_spec=doc.get("nu", {"kind": "mu"}),
@@ -87,7 +93,7 @@ class ExperimentConfig:
             modes=int(doc.get("modes", 128)),
             modes_limit=int(doc["modes_limit"]) if "modes_limit" in doc else None,
             tol=float(doc.get("tol", 1e-8)),
-            w2_method=str(doc.get("w2_method", "quantile1d")),
+            w2_method=w2_method,
             n_quantiles=int(doc.get("n_quantiles", 100_000)),
             grid_nodes=int(doc.get("grid_nodes", 8193)),
             sl_grid=int(doc["sl_grid"]) if "sl_grid" in doc else None,
@@ -132,54 +138,62 @@ def resolve_nu(spec: dict, basis: SpectralBasis) -> InitialDistribution:
 # spectral measures on a fine grid
 # ---------------------------------------------------------------------------
 
-def _mu_lebesgue_fine(basis: SpectralBasis, x: np.ndarray) -> np.ndarray:
-    dom = basis.domain
-    if dom.potential is None:
-        return np.full(x.shape, 1.0 / dom.lengths[0])
-    V = dom.potential_values(x)
-    Vg = dom.potential_values(basis.grid)
-    Z = float(np.dot(np.exp(Vg), basis.weights / basis.mu_lebesgue))
-    return np.exp(V) / Z
+def interval_basis(config: ExperimentConfig, command: str) -> SpectralBasis:
+    """The basis for commands whose measures live on a 1D fine grid."""
+    if config.domain.kind != "interval":
+        raise ConfigError(f"{command} needs an interval domain: its measures live on "
+                          "a 1D grid (rectangles support basis, project and limit)")
+    return config.build_basis()
+
+
+def _fine_measure(basis: SpectralBasis, n_nodes: int, weight, name: str) -> GridMeasure:
+    """Grid measure with Lebesgue density weight(x) * (density of mu) on a
+    uniform grid of n_nodes points."""
+    a, b = basis.domain.bounds[:2]
+    x = np.linspace(a, b, n_nodes)
+    return GridMeasure.normalized(x, weight(x) * basis.mu_lebesgue_at(x), name=name)
+
+
+def _phi0(basis: SpectralBasis, x: np.ndarray) -> np.ndarray:
+    return basis.eval_modes(x, modes=[0])[0]
 
 
 def mu0_measure(basis: SpectralBasis, n_nodes: int = 8193) -> GridMeasure:
     """The limit measure phi_0^2 mu as a grid measure (Lebesgue density)."""
-    a, b = basis.domain.bounds[:2]
-    x = np.linspace(a, b, n_nodes)
-    phi0 = basis.eval_modes(x, modes=[0])[0]
-    dens = np.maximum(phi0, 0.0) ** 2 * _mu_lebesgue_fine(basis, x)
-    return GridMeasure.normalized(x, dens, name="mu0")
+    return _fine_measure(basis, n_nodes, lambda x: np.maximum(_phi0(basis, x), 0.0) ** 2,
+                         "mu0")
 
 
 def spectral_measure(cd: ConditionalDensity, basis: SpectralBasis,
                      n_nodes: int = 8193) -> GridMeasure:
     """h_t mu_0 as a grid measure on a uniform fine grid."""
-    a, b = basis.domain.bounds[:2]
-    x = np.linspace(a, b, n_nodes)
-    h = cd.evaluate(x)
-    phi0 = basis.eval_modes(x, modes=[0])[0]
-    dens = np.maximum(h, 0.0) * phi0**2 * _mu_lebesgue_fine(basis, x)
-    return GridMeasure.normalized(x, dens, name=f"mu_t(t={cd.t:g})")
+    return _fine_measure(
+        basis, n_nodes, lambda x: np.maximum(cd.evaluate(x), 0.0) * _phi0(basis, x) ** 2,
+        f"mu_t(t={cd.t:g})")
 
 
 def mean_occupation_measure(nu_c, basis: SpectralBasis, t: float,
                             n_nodes: int = 8193) -> GridMeasure:
     """Reflecting-case time-averaged occupation as a grid measure."""
-    a, b = basis.domain.bounds[:2]
-    x = np.linspace(a, b, n_nodes)
-    h = mean_empirical_density(nu_c, basis, t, x=x)
-    dens = np.maximum(h, 0.0) * _mu_lebesgue_fine(basis, x)
-    return GridMeasure.normalized(x, dens, name=f"mean_occ(t={t:g})")
+    return _fine_measure(
+        basis, n_nodes,
+        lambda x: np.maximum(mean_empirical_density(nu_c, basis, t, x=x), 0.0),
+        f"mean_occ(t={t:g})")
 
 
-def _w2_by_method(method: str, m1: GridMeasure, m2: GridMeasure,
-                  n_quantiles: int):
+def w2_by_method(method: str, m1: GridMeasure, m2: GridMeasure,
+                 n_quantiles: int):
+    """W2 between two grid measures by the named route.  The exact route
+    declares its atomization error on top of the LP's own."""
     if method == "quantile1d":
         return w2_quantile_1d(m1, m2, n_quantiles=n_quantiles)
     if method == "exact-discrete":
-        x1, a1 = m1.atomize(384)
-        x2, a2 = m2.atomize(384)
-        return w2_exact_discrete(x1, a1, x2, a2, keep_plan=False)
+        x1, a1 = m1.atomize(EXACT_ATOMS)
+        x2, a2 = m2.atomize(EXACT_ATOMS)
+        res = w2_exact_discrete(x1, a1, x2, a2, keep_plan=False)
+        width = max(m1.support[1] - m1.support[0], m2.support[1] - m2.support[0]) / EXACT_ATOMS
+        res.error_estimate += atomization_error(res.w2_squared, width)
+        return res
     if method == "entropic":
         return w2_entropic(m1, m2)
     raise ConfigError(f"unknown w2 method {method!r}")
@@ -213,9 +227,7 @@ class ConvergenceReport:
         }
 
     def save(self, out_dir, stem: str = "convergence"):
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, stem + ".json"), "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
+        _dump(self.to_dict(), out_dir, stem + ".json")
         cols = ["t", "w2", "t2w2sq", "I", "rel_gap", "upper", "lower",
                 "method", "w2_error", "tail_bound", "modes", "seed"]
         with open(os.path.join(out_dir, stem + ".csv"), "w", newline="") as fh:
@@ -225,79 +237,56 @@ class ConvergenceReport:
                 writer.writerow({k: row.get(k, "") for k in cols})
 
 
-def _neumann_limit(config: ExperimentConfig, basis: SpectralBasis) -> LimitReport:
-    M_I = config.modes_limit or max(config.modes, 2000)
+def limit_report(config: ExperimentConfig, basis: SpectralBasis) -> LimitReport:
+    """The limit constant I of a config with its tail bound.
+
+    Killed case: the eigenseries with the nu L2 budget where nu has a density.
+    Reflecting case: a point start on an interval without potential uses its
+    closed-form coefficients up to modes_limit (default max(modes, 2000));
+    any other start uses the projection onto the basis.
+    """
+    nu = resolve_nu(config.nu_spec, basis)
     dom = config.domain
-    kind = config.nu_spec.get("kind", "mu")
-    if kind == "point" and dom.potential is None:
-        from .spectral import analytic_eigenvalues
-        lam = analytic_eigenvalues(dom, M_I)
+    if dom.boundary == DIRICHLET:
+        return compute_I(project(nu, basis), mu_coefficients(basis), basis.eigenvalues,
+                         tol=config.tol, d=dom.dim, nu_l2_bound=nu_l2_budget(nu, basis))
+    tol = max(config.tol, 1e-9)
+    if nu.kind == "point" and dom.potential is None and dom.kind == "interval":
+        M_I = config.modes_limit or max(config.modes, 2000)
         a, b = dom.bounds
         u = (float(config.nu_spec["x"]) - a) / (b - a)
-        m = np.arange(M_I)
-        nu_c = np.sqrt(2.0) * np.cos(m * np.pi * u)
+        nu_c = np.sqrt(2.0) * np.cos(np.arange(M_I) * np.pi * u)
         nu_c[0] = 1.0
-        return compute_I_neumann(nu_c, lam, tol=max(config.tol, 1e-9))
-    nu = resolve_nu(config.nu_spec, basis)
-    nu_c = project(nu, basis)
-    return compute_I_neumann(nu_c.values, basis.eigenvalues, tol=max(config.tol, 1e-9))
-
-
-def _dirichlet_limit(config: ExperimentConfig, basis: SpectralBasis,
-                     nu_c: ModeCoefficients, mu_c: ModeCoefficients,
-                     nu: InitialDistribution) -> LimitReport:
-    l2 = None
-    if nu.kind == "density_mu":
-        h = nu.density_on(basis.grid)
-        l2 = float(np.dot(h * h, basis.weights))
-    elif nu.kind == "mu" or nu.name == "mu":
-        l2 = 1.0
-    return compute_I(nu_c.values, mu_c.values, basis.eigenvalues,
-                     tol=config.tol, d=basis.domain.dim, nu_l2_bound=l2)
+        return compute_I_neumann(nu_c, analytic_eigenvalues(dom, M_I), tol=tol)
+    return compute_I_neumann(project(nu, basis), basis.eigenvalues, tol=tol)
 
 
 def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
     """t^2 W2(mu_t, limit)^2 against the eigenseries constant, per time."""
-    basis = config.build_basis()
+    basis = interval_basis(config, "converge")
     boundary = basis.domain.boundary
-    rows = []
-
+    limit = limit_report(config, basis)
+    nu = resolve_nu(config.nu_spec, basis)
     if boundary == NEUMANN:
-        limit = _neumann_limit(config, basis)
-        nu = resolve_nu(config.nu_spec, basis)
         nu_c = project(nu, basis)
-        reference = mu0_measure(basis, config.grid_nodes)   # phi_0 = 1: this is mu
-        for t in config.times:
-            occ = mean_occupation_measure(nu_c, basis, t, config.grid_nodes)
-            res = _w2_by_method(config.w2_method, occ, reference, config.n_quantiles)
-            t2w2 = t * t * res.w2_squared
-            rows.append({
-                "t": t, "w2": res.w2, "t2w2sq": t2w2, "I": limit.I_value,
-                "rel_gap": t2w2 / limit.I_value - 1.0 if limit.I_value else np.nan,
-                "method": res.method, "w2_error": res.error_estimate,
-                "tail_bound": limit.tail_bound, "modes": basis.M,
-                "seed": config.seed,
-            })
-    elif boundary == DIRICHLET:
-        nu = resolve_nu(config.nu_spec, basis)
-        mu_c = mu_coefficients(basis)
-        nu_c = project(nu, basis)
-        limit = _dirichlet_limit(config, basis, nu_c, mu_c, nu)
-        reference = mu0_measure(basis, config.grid_nodes)
-        for t in config.times:
+    reference = mu0_measure(basis, config.grid_nodes)   # Neumann: phi_0 = 1, this is mu
+    rows = []
+    for t in config.times:
+        if boundary == NEUMANN:
+            mt = mean_occupation_measure(nu_c, basis, t, config.grid_nodes)
+            tail = limit.tail_bound
+        else:
             cd = conditional_density(nu, basis, t, target_tol=config.tol)
             mt = spectral_measure(cd, basis, config.grid_nodes)
-            res = _w2_by_method(config.w2_method, mt, reference, config.n_quantiles)
-            t2w2 = t * t * res.w2_squared
-            rows.append({
-                "t": t, "w2": res.w2, "t2w2sq": t2w2, "I": limit.I_value,
-                "rel_gap": t2w2 / limit.I_value - 1.0 if limit.I_value else np.nan,
-                "method": res.method, "w2_error": res.error_estimate,
-                "tail_bound": cd.truncation.tail_estimate, "modes": basis.M,
-                "seed": config.seed,
-            })
-    else:   # pragma: no cover
-        raise ConfigError(f"unsupported boundary {boundary!r}")
+            tail = cd.truncation.tail_estimate
+        res = w2_by_method(config.w2_method, mt, reference, config.n_quantiles)
+        t2w2 = t * t * res.w2_squared
+        rows.append({
+            "t": t, "w2": res.w2, "t2w2sq": t2w2, "I": limit.I_value,
+            "rel_gap": t2w2 / limit.I_value - 1.0 if limit.I_value else np.nan,
+            "method": res.method, "w2_error": res.error_estimate,
+            "tail_bound": tail, "modes": basis.M, "seed": config.seed,
+        })
 
     gaps = np.array([abs(r["rel_gap"]) for r in rows])
     ts = np.array([r["t"] for r in rows])
@@ -324,7 +313,7 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
 
 def run_sandwich(config: ExperimentConfig, t: float) -> dict:
     """One row: certified lower bound <= W2^2 <= weighted-H^-1 upper bound."""
-    basis = config.build_basis()
+    basis = interval_basis(config, "sandwich")
     if basis.domain.boundary != DIRICHLET:
         raise ConfigError("sandwich reports are for the killed case")
     nu = resolve_nu(config.nu_spec, basis)
@@ -366,9 +355,7 @@ def run_sandwich(config: ExperimentConfig, t: float) -> dict:
     if not row["ordered"]:
         raise RuntimeError(f"sandwich ordering violated beyond tolerances: {row}")
     if config.out:
-        os.makedirs(config.out, exist_ok=True)
-        with open(os.path.join(config.out, f"sandwich_t{t:g}.json"), "w") as fh:
-            json.dump(row, fh, indent=1)
+        _dump(row, config.out, f"sandwich_t{t:g}.json")
     return row
 
 
@@ -378,7 +365,7 @@ def run_sandwich(config: ExperimentConfig, t: float) -> dict:
 
 def run_mc_crosscheck(config: ExperimentConfig) -> dict:
     """Spectral-vs-MC comparison: survival decay, occupation, two limits."""
-    basis = config.build_basis()
+    basis = interval_basis(config, "mc")
     nu = resolve_nu(config.nu_spec, basis)
     mc_cfg = dict(config.mc)
     dt = float(mc_cfg.get("dt", 1e-3))
@@ -439,12 +426,9 @@ def run_mc_crosscheck(config: ExperimentConfig) -> dict:
     out["w2_bootstrap_se"] = se
 
     # two distinct conditioned limits on the same ensemble
-    a, b = basis.domain.bounds[:2]
-    x = np.linspace(a, b, config.grid_nodes)
-    phi0 = basis.eval_modes(x, modes=[0])[0]
-    leb = _mu_lebesgue_fine(basis, x)
-    qe_dens = np.maximum(phi0, 0.0) * leb
-    quasi_ergodic = GridMeasure.normalized(x, qe_dens, name="phi0*mu/mu(phi0)")
+    quasi_ergodic = _fine_measure(basis, config.grid_nodes,
+                                  lambda x: np.maximum(_phi0(basis, x), 0.0),
+                                  "phi0*mu/mu(phi0)")
     final = occ_sim.final_measure()
     out["w1_final_vs_quasi_ergodic"] = w1_grid_1d(final, quasi_ergodic)
     out["w1_final_vs_mu0"] = w1_grid_1d(final, mu0_measure(basis, config.grid_nodes))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .measures import InitialDistribution
-from .spectral import ModeCoefficients
+from .spectral import weyl_floor
 
 __all__ = ["LimitError", "LimitReport", "compute_I", "compute_I_neumann",
            "finiteness_predicate"]
@@ -52,18 +52,9 @@ class LimitReport:
             json.dump(self.to_dict(), fh)
 
 
-def _as_array(coeffs) -> np.ndarray:
-    if isinstance(coeffs, ModeCoefficients):
-        return np.asarray(coeffs.values, dtype=float)
-    return np.asarray(coeffs, dtype=float)
-
-
-def _gap_floor(gaps: np.ndarray, d: int) -> float:
-    """Fitted kappa with gaps_m >= kappa m^(2/d) beyond the window, 10% margin."""
-    M = gaps.size
-    lo = max(1, M // 2)
-    m = np.arange(lo, M, dtype=float)
-    return 0.9 * float(np.min(gaps[lo:] / m ** (2.0 / d)))
+def _require_tail_modes(M: int):
+    if M < 2:
+        raise LimitError("one mode leaves the tail unbounded; raise the mode count")
 
 
 def compute_I(nu_coeffs, mu_coeffs, eigenvalues, tol: float = 1e-10,
@@ -76,11 +67,12 @@ def compute_I(nu_coeffs, mu_coeffs, eigenvalues, tol: float = 1e-10,
     supplied L2 budget or, failing that, a sup-norm envelope
     |nu(phi_m)| <= C sqrt(m) with C fitted from the data.
     """
-    nu_c = _as_array(nu_coeffs)
-    mu_c = _as_array(mu_coeffs)
+    nu_c = np.asarray(nu_coeffs, dtype=float)
+    mu_c = np.asarray(mu_coeffs, dtype=float)
     lam = np.asarray(eigenvalues, dtype=float)
     if not (nu_c.size == mu_c.size == lam.size):
         raise LimitError("coefficients and eigenvalues must share a length")
+    _require_tail_modes(lam.size)
     if nu_c[0] <= 0:
         raise LimitError("nu(phi_0) <= 0: initial law is not admissible numerically")
     gaps = lam - lam[0]
@@ -93,7 +85,7 @@ def compute_I(nu_coeffs, mu_coeffs, eigenvalues, tol: float = 1e-10,
     partial = np.concatenate([[0.0], np.cumsum(weights)]) / scale
     value = float(partial[-1])
 
-    kappa = _gap_floor(gaps, d)
+    kappa = weyl_floor(gaps, d)
     gap_M = kappa * M ** (2.0 / d)
     mu_budget = max(0.0, 1.0 - float(np.sum(mu_c[1:] ** 2)))
     if nu_l2_bound is not None:
@@ -135,10 +127,11 @@ def compute_I_neumann(nu_coeffs, eigenvalues, tol: float = 1e-9) -> LimitReport:
     so the constant-mode coefficient never enters.  Returns 0 exactly when
     all higher coefficients vanish (the start equals the invariant measure).
     """
-    nu_c = _as_array(nu_coeffs)
+    nu_c = np.asarray(nu_coeffs, dtype=float)
     lam = np.asarray(eigenvalues, dtype=float)
     if nu_c.size != lam.size:
         raise LimitError("coefficients and eigenvalues must share a length")
+    _require_tail_modes(lam.size)
     if abs(lam[0]) > 1e-7:
         raise LimitError("not a Neumann basis: bottom eigenvalue must vanish")
     if np.any(lam[1:] <= 0):
@@ -147,9 +140,9 @@ def compute_I_neumann(nu_coeffs, eigenvalues, tol: float = 1e-9) -> LimitReport:
     weights = nu_c[1:] ** 2 / lam[1:] ** 3
     partial = np.concatenate([[0.0], np.cumsum(weights)])
     value = float(partial[-1])
-    kappa = _gap_floor(lam, d=1)
+    kappa = weyl_floor(lam, d=1)
     m_ext = np.arange(M, 20 * M, dtype=float)
-    C = float(np.max(np.abs(nu_c[1:]))) if M > 1 else 0.0
+    C = float(np.max(np.abs(nu_c[1:])))
     tail = float(np.sum(C**2 / (kappa * m_ext**2) ** 3))
     tail += C**2 / kappa**3 * m_ext[-1] ** -5 / 5.0
     report = LimitReport(

@@ -128,15 +128,38 @@ def _reflect(x: np.ndarray, a: float, b: float) -> np.ndarray:
     return a + np.minimum(z, 2.0 * L - z)
 
 
-def _drift_at(cfg: SimulationConfig, x: np.ndarray) -> np.ndarray:
-    if cfg.drift is None:
-        return 0.0
-    return np.asarray(cfg.drift(x), dtype=float)
-
-
 def _bin_index(x: np.ndarray, a: float, b: float, n_bins: int) -> np.ndarray:
     idx = ((x - a) / (b - a) * n_bins).astype(np.int64)
     return np.clip(idx, 0, n_bins - 1)
+
+
+def _propose(cfg: SimulationConfig, rng, x: np.ndarray) -> np.ndarray:
+    """One Euler-Maruyama step from x; draws one uniform per path."""
+    z = ndtri(rng.random(x.size))
+    drift = 0.0 if cfg.drift is None else np.asarray(cfg.drift(x), dtype=float)
+    return x + drift * cfg.dt + np.sqrt(2.0 * cfg.dt) * z
+
+
+def _survives(rng, x: np.ndarray, xn: np.ndarray, a: float, b: float,
+              dt: float) -> np.ndarray:
+    """The step x -> xn ends inside and its Brownian bridge crossed neither
+    face (crossing probability exp(-d1 d2 / dt) per face); draws two
+    uniforms per path."""
+    u0 = rng.random(x.size)
+    u1 = rng.random(x.size)
+    inside = (xn > a) & (xn < b)
+    with np.errstate(over="ignore"):
+        p0 = np.exp(-np.maximum(x - a, 0.0) * np.maximum(xn - a, 0.0) / dt)
+        p1 = np.exp(-np.maximum(b - x, 0.0) * np.maximum(b - xn, 0.0) / dt)
+    return inside & (u0 > p0) & (u1 > p1)
+
+
+def _occupy(occ: np.ndarray, rows: np.ndarray, x: np.ndarray, xn: np.ndarray,
+            a: float, b: float, dt: float):
+    """Trapezoidal occupation of the step: dt/2 in the bins of both ends."""
+    n_bins = occ.shape[1]
+    np.add.at(occ, (rows, _bin_index(x, a, b, n_bins)), 0.5 * dt)
+    np.add.at(occ, (rows, _bin_index(xn, a, b, n_bins)), 0.5 * dt)
 
 
 def _run_block_direct(cfg: SimulationConfig, block: int, n: int, cp_steps: dict):
@@ -147,27 +170,16 @@ def _run_block_direct(cfg: SimulationConfig, block: int, n: int, cp_steps: dict)
     kill = cfg.boundary_rule == "kill"
     alive = np.ones(n, dtype=bool)
     occ = np.zeros((n, cfg.n_bins))
-    sq = np.sqrt(2.0 * cfg.dt)
-    dt = cfg.dt
     cp_counts = {}
     rows = np.arange(n)
     for s in range(1, cfg.n_steps() + 1):
-        z = ndtri(rng.random(n))
-        xn = x + _drift_at(cfg, x) * dt + sq * z
+        xn = _propose(cfg, rng, x)
         if kill:
-            u0 = rng.random(n)
-            u1 = rng.random(n)
-            inside = (xn > a) & (xn < b)
-            with np.errstate(over="ignore"):
-                p0 = np.exp(-np.maximum(x - a, 0.0) * np.maximum(xn - a, 0.0) / dt)
-                p1 = np.exp(-np.maximum(b - x, 0.0) * np.maximum(b - xn, 0.0) / dt)
-            survive_step = inside & (u0 > p0) & (u1 > p1)
-            alive &= survive_step
+            alive &= _survives(rng, x, xn, a, b, cfg.dt)
             xn = np.where(alive, np.clip(xn, a, b), x)
         else:
             xn = _reflect(xn, a, b)
-        np.add.at(occ, (rows, _bin_index(x, a, b, cfg.n_bins)), 0.5 * dt)
-        np.add.at(occ, (rows, _bin_index(xn, a, b, cfg.n_bins)), 0.5 * dt)
+        _occupy(occ, rows, x, xn, a, b, cfg.dt)
         x = xn
         if s in cp_steps:
             cp_counts[cp_steps[s]] = int(alive.sum())
@@ -181,38 +193,25 @@ def _run_block_resampled(cfg: SimulationConfig, block: int, n: int, cp_steps: di
     rng = _rng_for(cfg.seed, block)
     x = _sample_initial(cfg.initial, cfg.domain, rng, n)
     occ = np.zeros((n, cfg.n_bins))
-    sq = np.sqrt(2.0 * cfg.dt)
-    dt = cfg.dt
     log_surv = 0.0
     cp_logs = {}
     rows = np.arange(n)
     for s in range(1, cfg.n_steps() + 1):
-        z = ndtri(rng.random(n))
-        xn = x + _drift_at(cfg, x) * dt + sq * z
-        u0 = rng.random(n)
-        u1 = rng.random(n)
-        inside = (xn > a) & (xn < b)
-        with np.errstate(over="ignore"):
-            p0 = np.exp(-np.maximum(x - a, 0.0) * np.maximum(xn - a, 0.0) / dt)
-            p1 = np.exp(-np.maximum(b - x, 0.0) * np.maximum(b - xn, 0.0) / dt)
-        killed = ~(inside & (u0 > p0) & (u1 > p1))
+        xn = _propose(cfg, rng, x)
+        killed = ~_survives(rng, x, xn, a, b, cfg.dt)
         nk = int(killed.sum())
         if nk == n:
             raise SimulationError("entire population killed in one step; shrink dt")
+        xold = x
         if nk:
             survivors = np.flatnonzero(~killed)
             donors = survivors[(rng.random(nk) * survivors.size).astype(np.int64)]
             xold = x.copy()
             xold[killed] = x[donors]
-            xn[killed] = x[donors] + _drift_at(cfg, x[donors]) * dt \
-                + sq * ndtri(rng.random(nk))
-            xn[killed] = np.clip(xn[killed], a + 1e-12, b - 1e-12)
+            xn[killed] = np.clip(_propose(cfg, rng, x[donors]), a + 1e-12, b - 1e-12)
             occ[killed] = occ[donors]
-        else:
-            xold = x
         log_surv += np.log1p(-nk / n)
-        np.add.at(occ, (rows, _bin_index(xold, a, b, cfg.n_bins)), 0.5 * dt)
-        np.add.at(occ, (rows, _bin_index(np.clip(xn, a, b), a, b, cfg.n_bins)), 0.5 * dt)
+        _occupy(occ, rows, xold, xn, a, b, cfg.dt)
         x = xn
         if s in cp_steps:
             cp_logs[cp_steps[s]] = log_surv
@@ -311,24 +310,18 @@ def conditional_empirical_w2(summary: PathEnsembleSummary, reference: GridMeasur
     rng = _rng_for(cfg.seed, 10**6)
     edges = summary.bin_edges
     widths = np.diff(edges)
-    vals = np.empty(n_bootstrap)
     if summary.island_histograms is not None:
-        pool = summary.island_histograms
-        for k in range(n_bootstrap):
-            pick = (rng.random(pool.shape[0]) * pool.shape[0]).astype(int)
-            hist = pool[pick].mean(axis=0)
-            gm = GridMeasure.from_histogram(edges, hist * widths)
-            vals[k] = w2_quantile_1d(gm, reference, n_quantiles=4000).w2
+        pool, to_mass = summary.island_histograms, widths     # densities per island
     elif summary.path_occupations is not None:
-        pool = summary.path_occupations
-        n = pool.shape[0]
-        for k in range(n_bootstrap):
-            pick = (rng.random(n) * n).astype(int)
-            occ = pool[pick].mean(axis=0)
-            gm = GridMeasure.from_histogram(edges, occ)
-            vals[k] = w2_quantile_1d(gm, reference, n_quantiles=4000).w2
+        pool, to_mass = summary.path_occupations, 1.0         # occupation masses per path
     else:
         raise SimulationError("summary carries no resampling pool")
+    n = pool.shape[0]
+    vals = np.empty(n_bootstrap)
+    for k in range(n_bootstrap):
+        pick = (rng.random(n) * n).astype(int)
+        gm = GridMeasure.from_histogram(edges, pool[pick].mean(axis=0) * to_mass)
+        vals[k] = w2_quantile_1d(gm, reference, n_quantiles=4000).w2
     se = float(vals.std(ddof=1))
     result = TransportResult(w2=base.w2, method="quantile1d",
                              error_estimate=base.error_estimate + 3 * se,

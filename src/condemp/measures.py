@@ -210,8 +210,9 @@ class GridMeasure:
         if self.histogram:
             mid = 0.5 * (v[:-1] + v[1:]) if v.size == self.nodes.size else v
             return float(np.sum(mid * self.lebesgue_density * np.diff(self.nodes)) / self._mass)
+        from scipy.integrate import simpson    # deferred: ~40 ms of start-up otherwise
         f = v * self.lebesgue_density
-        return float(_simpson(f, self.nodes) / self._mass)
+        return float(simpson(f, x=self.nodes) / self._mass)
 
     def atomize(self, n_atoms: int):
         """Equal-width cells reduced to (centroid, mass) atoms.
@@ -266,8 +267,3 @@ class GridMeasure:
         if total <= 0:
             raise MeasureError("histogram has no mass")
         return cls(edges, dens / total, reference="lebesgue", histogram=True, name=name)
-
-
-def _simpson(f: np.ndarray, x: np.ndarray) -> float:
-    from scipy.integrate import simpson
-    return float(simpson(f, x=x))

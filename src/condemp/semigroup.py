@@ -17,7 +17,8 @@ import numpy as np
 
 from .domains import DIRICHLET, NEUMANN
 from .measures import InitialDistribution
-from .spectral import ModeCoefficients, SpectralBasis, mu_coefficients, project
+from .spectral import (SpectralBasis, mu_coefficients, nu_l2_budget, project,
+                       weyl_floor)
 
 __all__ = [
     "SeriesError",
@@ -56,16 +57,6 @@ class SeriesTruncation:
     @property
     def accepted(self) -> bool:
         return self.tail_estimate <= self.target_tol
-
-
-def _weyl_constant(basis: SpectralBasis) -> float:
-    """Fitted lower constant in gaps >= kappa * m^(2/d), with a 10% margin."""
-    d = basis.domain.dim
-    lo = max(1, basis.M // 2)
-    if lo >= basis.M:
-        return 1.0      # single-mode basis: no tail to dominate
-    m = np.arange(lo, basis.M, dtype=float)
-    return 0.9 * float(np.min(basis.gaps[lo:] / m ** (2.0 / d)))
 
 
 def _coeff_envelope(coeffs: np.ndarray):
@@ -149,7 +140,7 @@ def exp_time_integral_pair(a_m: float, a_n: float, t: float) -> float:
 # semigroups
 # ---------------------------------------------------------------------------
 
-def apply_dirichlet_semigroup(coeffs: ModeCoefficients, basis: SpectralBasis,
+def apply_dirichlet_semigroup(coeffs: np.ndarray, basis: SpectralBasis,
                               t: float, x=None, target_tol: float = 1e-10):
     """Killed-semigroup action sum_m e^{-lambda_m t} c_m phi_m on the grid.
 
@@ -159,12 +150,12 @@ def apply_dirichlet_semigroup(coeffs: ModeCoefficients, basis: SpectralBasis,
     """
     if t < 0:
         raise SeriesError("time must be nonnegative")
-    c = np.asarray(coeffs.values, dtype=float)
+    c = np.asarray(coeffs, dtype=float)
     decay = np.exp(-basis.eigenvalues * t)
     phi = basis.eigenfunctions if x is None else basis.eval_modes(x)
     vals = (c * decay) @ phi
     A, p = _coeff_envelope(c)
-    kappa = _weyl_constant(basis)
+    kappa = weyl_floor(basis.gaps, basis.domain.dim)
     sup_exp = 0.5 if not basis.analytic else 0.0
     A_sup = float(np.max(basis.sup_norms))
     tail = A_sup * np.exp(-basis.eigenvalues[0] * t) * _sum_envelope(
@@ -187,10 +178,10 @@ def ground_semigroup_apply(values_on_grid, basis: SpectralBasis, t: float):
     return (c * np.exp(-basis.gaps * t)) @ R
 
 
-def survival_probability(nu_coeffs: ModeCoefficients, mu_coeffs: ModeCoefficients,
+def survival_probability(nu_coeffs: np.ndarray, mu_coeffs: np.ndarray,
                          eigenvalues: np.ndarray, t: float) -> float:
     """P(no killing before t) = sum_m e^{-lambda_m t} mu(phi_m) nu(phi_m)."""
-    return float(np.sum(np.asarray(nu_coeffs.values) * np.asarray(mu_coeffs.values)
+    return float(np.sum(np.asarray(nu_coeffs) * np.asarray(mu_coeffs)
                         * np.exp(-np.asarray(eigenvalues) * t)))
 
 
@@ -208,7 +199,7 @@ def ground_kernel(basis: SpectralBasis, x, y, t: float, target_tol: float = 1e-8
     decay = np.exp(-basis.gaps * t)
     K = (Rx * decay[:, None]).T @ Ry
     d = basis.domain.dim
-    kappa = _weyl_constant(basis)
+    kappa = weyl_floor(basis.gaps, d)
     ratio_exp = (d + 2.0) / (2.0 * d)
     C = float(np.max(basis.ratio_sups / np.maximum(np.arange(basis.M) + 1.0, 1.0) ** ratio_exp))
     tail = _sum_envelope(C * C, 0.0, 2 * ratio_exp, t, kappa, d, basis.M)
@@ -224,7 +215,7 @@ def ground_kernel(basis: SpectralBasis, x, y, t: float, target_tol: float = 1e-8
     return K, trunc
 
 
-def psi_s_nu(nu_coeffs: ModeCoefficients, basis: SpectralBasis, s: float, x=None):
+def psi_s_nu(nu_coeffs: np.ndarray, basis: SpectralBasis, s: float, x=None):
     """Ground-kernel smoothing of nu against phi_0: a function on the grid.
 
     Equals nu(phi_0) + sum_{m>=1} nu(phi_m) e^{-(lambda_m-lambda_0)s} phi_m/phi_0.
@@ -233,7 +224,7 @@ def psi_s_nu(nu_coeffs: ModeCoefficients, basis: SpectralBasis, s: float, x=None
     """
     if s < 0:
         raise SeriesError("time must be nonnegative")
-    c = np.asarray(nu_coeffs.values, dtype=float)
+    c = np.asarray(nu_coeffs, dtype=float)
     R = basis.ground_ratio if x is None else basis.eval_ratio(x)
     decay = np.exp(-basis.gaps * s)
     return (c * decay) @ R
@@ -271,14 +262,7 @@ class ConditionalDensity:
         return vals - 1.0
 
 
-def _resolve_coefficients(nu: InitialDistribution | ModeCoefficients,
-                          basis: SpectralBasis) -> ModeCoefficients:
-    if isinstance(nu, ModeCoefficients):
-        return nu
-    return project(nu, basis)
-
-
-def conditional_density(nu, basis: SpectralBasis, t: float,
+def conditional_density(nu: InitialDistribution, basis: SpectralBasis, t: float,
                         target_tol: float = 1e-8,
                         shift_eps: float | None = None) -> ConditionalDensity:
     """h_t for the conditional time-averaged occupation, as an eigenseries.
@@ -297,18 +281,15 @@ def conditional_density(nu, basis: SpectralBasis, t: float,
         raise SeriesError("need t > 0")
 
     eps = 0.0
-    if shift_eps is not None and isinstance(nu, InitialDistribution):
+    if shift_eps is not None:
         eps = float(shift_eps)
         if eps >= t / 2:
             raise SeriesError(f"shift eps={eps} too large for horizon t={t}")
         nu = time_shift(nu, basis, eps)
 
-    nu_l2 = None
-    if isinstance(nu, InitialDistribution) and nu.kind == "density_mu":
-        h_vals = nu.density_on(basis.grid)
-        nu_l2 = float(np.dot(h_vals * h_vals, basis.weights))
-    nu_c = _resolve_coefficients(nu, basis).values
-    mu_c = mu_coefficients(basis).values
+    nu_l2 = nu_l2_budget(nu, basis)
+    nu_c = project(nu, basis)
+    mu_c = mu_coefficients(basis)
     if nu_c[0] <= 0:
         raise SeriesError("nu has nonpositive ground-state mass; not admissible")
     a = basis.gaps
@@ -361,7 +342,7 @@ def _rho_tail_bound(nu_c, mu_c, basis, t, Z,
     never silently trusted.
     """
     d = basis.domain.dim
-    kappa = _weyl_constant(basis)
+    kappa = weyl_floor(basis.gaps, d)
     C_R, q_R = _ratio_growth(basis)
     M = basis.M
     m_ext = np.arange(M, 40 * M, dtype=float)
@@ -404,8 +385,8 @@ def rho_tilde(nu_coeffs, mu_coeffs, basis: SpectralBasis, t: float,
     """The explicit rank-like part of the fluctuation, exactly 1/t-scaled."""
     if t <= 0:
         raise SeriesError("need t > 0")
-    nu_c = np.asarray(nu_coeffs.values if isinstance(nu_coeffs, ModeCoefficients) else nu_coeffs)
-    mu_c = np.asarray(mu_coeffs.values if isinstance(mu_coeffs, ModeCoefficients) else mu_coeffs)
+    nu_c = np.asarray(nu_coeffs)
+    mu_c = np.asarray(mu_coeffs)
     a = basis.gaps
     Z = normalization
     if Z is None:
@@ -423,8 +404,8 @@ def fluctuation_remainder(nu_coeffs, mu_coeffs, basis: SpectralBasis, t: float):
     computed without subtracting O(1) quantities and stays meaningful far
     below double-precision noise on the individual densities.
     """
-    nu_c = np.asarray(nu_coeffs.values if isinstance(nu_coeffs, ModeCoefficients) else nu_coeffs)
-    mu_c = np.asarray(mu_coeffs.values if isinstance(mu_coeffs, ModeCoefficients) else mu_coeffs)
+    nu_c = np.asarray(nu_coeffs)
+    mu_c = np.asarray(mu_coeffs)
     a = basis.gaps
     dec = np.exp(-a * t)
     Z = float(np.sum(nu_c * mu_c * dec))
@@ -496,7 +477,7 @@ def mean_empirical_density(nu_coeffs, basis: SpectralBasis, t: float, x=None):
         raise SeriesError("need t > 0")
     if abs(basis.eigenvalues[0]) > 1e-7:
         raise SeriesError("Neumann basis should have a zero bottom eigenvalue")
-    nu_c = np.asarray(nu_coeffs.values if isinstance(nu_coeffs, ModeCoefficients) else nu_coeffs)
+    nu_c = np.asarray(nu_coeffs)
     lam = basis.eigenvalues
     coef = np.zeros(basis.M)
     coef[1:] = nu_c[1:] * (-np.expm1(-lam[1:] * t)) / (lam[1:] * t)
@@ -515,22 +496,10 @@ def export_density_csv(cd: ConditionalDensity, path, n_nodes: int = 1025):
     x = np.linspace(a, b, n_nodes)
     h = cd.evaluate(x)
     phi0 = basis.eval_modes(x, modes=[0])[0]
-    mu0 = phi0**2 * _mu_lebesgue_at(basis, x)
+    mu0 = phi0**2 * basis.mu_lebesgue_at(x)
     with open(path, "w", newline="") as fh:
         fh.write(f"# t={float(cd.t)!r} M={cd.truncation.M} tail_estimate={float(cd.truncation.tail_estimate)!r}\n")
         writer = csv.writer(fh)
         writer.writerow(["x", "h_t", "mu0_density"])
         for row in zip(x, h, mu0):
             writer.writerow([repr(float(v)) for v in row])
-
-
-def _mu_lebesgue_at(basis: SpectralBasis, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    dom = basis.domain
-    if dom.potential is None:
-        return np.full(x.shape, 1.0 / dom.lengths[0])
-    V = dom.potential_values(x)
-    Vg = dom.potential_values(basis.grid)
-    # same normalization as the basis quadrature
-    Z = float(np.dot(np.exp(Vg), basis.weights / basis.mu_lebesgue))
-    return np.exp(V) / Z

@@ -24,12 +24,13 @@ __all__ = [
     "BasisError",
     "ProjectionError",
     "SpectralBasis",
-    "ModeCoefficients",
     "GrowthReport",
     "build_analytic_basis",
     "solve_sturm_liouville",
     "project",
     "mu_coefficients",
+    "nu_l2_budget",
+    "weyl_floor",
     "sup_norm_growth_report",
     "gauss_legendre",
     "analytic_eigenvalues",
@@ -85,21 +86,15 @@ def _rectangle_mode_table(domain: Domain, M: int):
             [(int(t[1]), int(t[2])) for t in flat])
 
 
-@dataclass
-class ModeCoefficients:
-    """Coefficients <measure, phi_m> for m = 0..M-1 against a fixed basis."""
-
-    values: np.ndarray
-    source: str = ""
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-
-    def __len__(self):
-        return self.values.size
-
-    def sum_of_squares(self) -> float:
-        return float(np.dot(self.values, self.values))
+def weyl_floor(gaps: np.ndarray, d: int) -> float:
+    """Fitted kappa with gaps_m >= kappa m^(2/d) on the upper half window,
+    with a 10% margin.  A single-mode basis has no tail to dominate: 1."""
+    M = gaps.size
+    lo = max(1, M // 2)
+    if lo >= M:
+        return 1.0
+    m = np.arange(lo, M, dtype=float)
+    return 0.9 * float(np.min(gaps[lo:] / m ** (2.0 / d)))
 
 
 @dataclass
@@ -171,7 +166,7 @@ class SpectralBasis:
         if self.analytic and self.domain.boundary == NEUMANN:
             return self.eval_modes(x)      # phi_0 = 1
         if self.analytic and self.domain.kind == "rectangle":
-            return self._rect_ratio(x)
+            return self._rect_tensor(x, np.arange(self.M), _axis_ratio)
         phi = self.eval_modes(x)
         return phi / self._ratio_safe_ground(x, phi)
 
@@ -217,25 +212,18 @@ class SpectralBasis:
             vals = np.sqrt(2.0) * np.cos(np.outer(sel, np.pi * u))
             vals[sel == 0] = 1.0
             return vals
+        return self._rect_tensor(x, sel, lambda k, u: _axis_mode(k, u, dom.boundary))
+
+    def _rect_tensor(self, x, sel, axis_fn):
+        """Rectangle modes as products axis_fn(i, ux) * axis_fn(j, uy)."""
         pts = np.atleast_2d(np.asarray(x, dtype=float))
-        a, b, c, d = dom.bounds
+        a, b, c, d = self.domain.bounds
         ux = (pts[:, 0] - a) / (b - a)
         uy = (pts[:, 1] - c) / (d - c)
         out = np.empty((sel.size, pts.shape[0]))
         for r, m in enumerate(sel):
             i, j = self.mode_indices[int(m)]
-            out[r] = _axis_mode(i, ux, dom.boundary) * _axis_mode(j, uy, dom.boundary)
-        return out
-
-    def _rect_ratio(self, x):
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        a, b, c, d = self.domain.bounds
-        ux = (pts[:, 0] - a) / (b - a)
-        uy = (pts[:, 1] - c) / (d - c)
-        out = np.empty((self.M, pts.shape[0]))
-        for m in range(self.M):
-            i, j = self.mode_indices[m]
-            out[m] = _axis_ratio(i, ux) * _axis_ratio(j, uy)
+            out[r] = axis_fn(i, ux) * axis_fn(j, uy)
         return out
 
     def _ratio_safe_ground(self, x, phi):
@@ -250,6 +238,18 @@ class SpectralBasis:
         return self._splines[m]
 
     # ---- quadrature and diagnostics ---------------------------------
+
+    def mu_lebesgue_at(self, x) -> np.ndarray:
+        """Lebesgue density of mu at arbitrary interval points, normalized
+        like the quadrature weights."""
+        x = np.asarray(x, dtype=float)
+        dom = self.domain
+        if dom.potential is None:
+            return np.full(x.shape, 1.0 / dom.lengths[0])
+        V = dom.potential_values(x)
+        Vg = dom.potential_values(self.grid)
+        Z = float(np.dot(np.exp(Vg), self.weights / self.mu_lebesgue))
+        return np.exp(V) / Z
 
     def integrate(self, values) -> float:
         """Integral against mu of a grid-sampled function."""
@@ -374,11 +374,10 @@ def build_analytic_basis(domain: Domain, M: int, n_quad: int | None = None) -> S
             eigenfunctions=np.empty((0, 0)), sup_norms=np.empty(0),
             ratio_sups=np.empty(0), analytic=True)
         basis.eigenfunctions = basis._eval_analytic(x, np.arange(M))
+        basis.sup_norms = np.full(M, np.sqrt(2.0))
         if domain.boundary == DIRICHLET:
-            basis.sup_norms = np.full(M, np.sqrt(2.0))
             basis.ratio_sups = np.arange(1, M + 1, dtype=float)
         else:
-            basis.sup_norms = np.full(M, np.sqrt(2.0))
             basis.sup_norms[0] = 1.0
             basis.ratio_sups = basis.sup_norms.copy()
         return basis.validate()
@@ -529,7 +528,7 @@ def _sign_first_extremum(x: np.ndarray, v: np.ndarray) -> float:
 # projections
 # ---------------------------------------------------------------------------
 
-def project(measure: InitialDistribution, basis: SpectralBasis) -> ModeCoefficients:
+def project(measure: InitialDistribution, basis: SpectralBasis) -> np.ndarray:
     """Coefficients <measure, phi_m> by quadrature or point evaluation."""
     kind = measure.kind
     if kind == "point":
@@ -547,21 +546,16 @@ def project(measure: InitialDistribution, basis: SpectralBasis) -> ModeCoefficie
             if not inside:
                 raise ProjectionError(f"point mass at {x0} lies outside the domain")
         vals = basis.eval_modes(np.atleast_2d(x0) if basis.domain.dim == 2 else [float(np.atleast_1d(x0)[0])])
-        return ModeCoefficients(vals[:, 0], source=measure.label())
+        return vals[:, 0]
 
-    if kind == "density_mu":
+    if kind in ("density_mu", "grid_density"):
         h = measure.density_on(basis.grid)
-        _validate_density(h, basis.weights, what="density w.r.t. mu")
-        coeffs = basis.eigenfunctions @ (h * basis.weights)
-        return ModeCoefficients(coeffs, source=measure.label())
-
-    if kind == "grid_density":
-        # raw Lebesgue density tabulated on the measure's own nodes
-        h_leb = measure.density_on(basis.grid)
-        h = h_leb / basis.mu_lebesgue
-        _validate_density(h, basis.weights, what="grid density")
-        coeffs = basis.eigenfunctions @ (h * basis.weights)
-        return ModeCoefficients(coeffs, source=measure.label())
+        if kind == "grid_density":
+            # raw Lebesgue density tabulated on the measure's own nodes
+            h = h / basis.mu_lebesgue
+        _validate_density(h, basis.weights,
+                          what="density w.r.t. mu" if kind == "density_mu" else "grid density")
+        return basis.eigenfunctions @ (h * basis.weights)
 
     raise ProjectionError(f"unknown initial distribution kind {kind!r}")
 
@@ -574,14 +568,22 @@ def _validate_density(h: np.ndarray, weights: np.ndarray, what: str):
         raise ProjectionError(f"{what} mass {mass} differs from 1 beyond 1e-8")
 
 
-def mu_coefficients(basis: SpectralBasis) -> ModeCoefficients:
+def mu_coefficients(basis: SpectralBasis) -> np.ndarray:
     """Coefficients mu(phi_m) of the reference measure itself."""
     coeffs = basis.eigenfunctions @ basis.weights
-    mc = ModeCoefficients(coeffs, source="mu")
-    if mc.sum_of_squares() > 1.0 + 1e-8:
-        raise ProjectionError(
-            f"sum of squared mu-coefficients {mc.sum_of_squares():.12f} exceeds 1")
-    return mc
+    sum_sq = float(np.dot(coeffs, coeffs))
+    if sum_sq > 1.0 + 1e-8:
+        raise ProjectionError(f"sum of squared mu-coefficients {sum_sq:.12f} exceeds 1")
+    return coeffs
+
+
+def nu_l2_budget(nu: InitialDistribution, basis: SpectralBasis) -> float | None:
+    """Bessel budget sum_m nu(phi_m)^2 <= ||h||^2_{L2(mu)} of a density start;
+    None when nu has no density against mu."""
+    if nu.kind != "density_mu":
+        return None
+    h = nu.density_on(basis.grid)
+    return float(np.dot(h * h, basis.weights))
 
 
 # ---------------------------------------------------------------------------

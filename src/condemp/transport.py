@@ -20,7 +20,7 @@ from scipy.optimize import linprog
 from scipy.special import logsumexp
 
 from .measures import GridMeasure
-from .semigroup import ConditionalDensity
+from .semigroup import ConditionalDensity, ground_kernel
 from .spectral import SpectralBasis
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "w2_quantile_1d",
     "w1_grid_1d",
     "w2_exact_discrete",
+    "atomization_error",
     "w2_entropic",
     "h_minus1_upper_bound",
     "kantorovich_dual_lower",
@@ -140,6 +141,13 @@ def w1_grid_1d(m1: GridMeasure, m2: GridMeasure, n_nodes: int = 4097) -> float:
 # exact discrete route
 # ---------------------------------------------------------------------------
 
+def _sq_cost(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Squared Euclidean cost between supports of shape (n,) or (n, d)."""
+    X = x if x.ndim == 2 else x[:, None]
+    Y = y if y.ndim == 2 else y[:, None]
+    return ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=2)
+
+
 def w2_exact_discrete(support1, weights1, support2, weights2,
                       keep_plan: bool = True) -> TransportResult:
     """Exact optimal transport between atomized measures, squared cost.
@@ -147,14 +155,9 @@ def w2_exact_discrete(support1, weights1, support2, weights2,
     Solves the transportation linear program with the HiGHS dual simplex,
     which runs network-simplex-style pivoting on this structure.  The
     declared error is the primal feasibility residual plus the LP duality
-    gap, both essentially at solver tolerance.
+    gap, both essentially at solver tolerance.  Atoms that stand for the
+    cells of a continuous measure add `atomization_error` on top.
     """
-    x = np.atleast_2d(np.asarray(support1, dtype=float).T).T
-    y = np.atleast_2d(np.asarray(support2, dtype=float).T).T
-    if x.ndim == 1:
-        x = x[:, None]
-    if y.ndim == 1:
-        y = y[:, None]
     a = np.asarray(weights1, dtype=float)
     b = np.asarray(weights2, dtype=float)
     n, m = a.size, b.size
@@ -164,7 +167,7 @@ def w2_exact_discrete(support1, weights1, support2, weights2,
         raise TransportError(f"marginal mass mismatch {abs(a.sum() - b.sum()):.3e}")
     a = a / a.sum()
     b = b / b.sum()
-    C = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=2)
+    C = _sq_cost(np.asarray(support1, dtype=float), np.asarray(support2, dtype=float))
 
     rows = np.repeat(np.arange(n), m)
     cols = np.arange(n * m)
@@ -194,6 +197,12 @@ def w2_exact_discrete(support1, weights1, support2, weights2,
         w2=float(np.sqrt(val)), method="exact-discrete", error_estimate=err,
         w2_squared=val, plan=plan if keep_plan else None,
         details={"marginal_violation": max(row_err, col_err), "dual_gap": gap})
+
+
+def atomization_error(w2_squared: float, width: float) -> float:
+    """Worst-case change of W2^2 when cells of the given width are reduced
+    to their centroid atoms: 2 W2 width / sqrt(12) + width^2 / 4."""
+    return 2.0 * np.sqrt(max(w2_squared, 0.0)) * width / np.sqrt(12.0) + width**2 / 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +284,7 @@ def w2_entropic(m1, m2, eps_schedule=None, eps_target: float = 1e-3,
     y, b, h2 = _atoms_of(m2, atoms)
     if x.shape[0] > max_nodes or y.shape[0] > max_nodes:
         raise TransportError(f"entropic solver capped at {max_nodes} nodes")
-    X = x if x.ndim == 2 else x[:, None]
-    Y = y if y.ndim == 2 else y[:, None]
-    Cxy = ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=2)
+    Cxy = _sq_cost(x, y)
     diam2 = float(max(Cxy.max(), 1e-30))
     if eps_schedule is None:
         n_levels = max(3, int(np.ceil(np.log2(diam2 / 4 / eps_target))) + 1)
@@ -286,8 +293,8 @@ def w2_entropic(m1, m2, eps_schedule=None, eps_target: float = 1e-3,
     final_drift = max(tol, 1e-5 * float(eps_schedule[-1]))
     cost_ab, prev_ab, dual_ab, viol_ab, P, it_ab = _ot_eps(
         a, b, Cxy, eps_schedule, final_drift)
-    Cxx = ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
-    Cyy = ((Y[:, None, :] - Y[None, :, :]) ** 2).sum(axis=2)
+    Cxx = _sq_cost(x, x)
+    Cyy = _sq_cost(y, y)
     cost_aa, prev_aa, dual_aa, viol_aa, _, _ = _ot_eps(
         a, a, Cxx, eps_schedule, final_drift, symmetric=True)
     cost_bb, prev_bb, dual_bb, viol_bb, _, _ = _ot_eps(
@@ -302,11 +309,7 @@ def w2_entropic(m1, m2, eps_schedule=None, eps_target: float = 1e-3,
     kl = float(np.sum(P * np.log(np.maximum(P / np.outer(a, b), 1e-300))))
     gap = abs(cost_ab + eps_f * kl - dual_ab)
     viol = max(viol_ab, viol_aa, viol_bb)
-    atom_err = 0.0
-    if h1 or h2:
-        width = max(h1, h2)
-        atom_err = 2.0 * np.sqrt(max(val, 0.0)) * width / np.sqrt(12.0) + width**2 / 4.0
-    err = 2.0 * bias_est + gap + viol * diam2 + atom_err
+    err = 2.0 * bias_est + gap + viol * diam2 + atomization_error(val, max(h1, h2))
     val = max(val, 0.0)
     return TransportResult(
         w2=float(np.sqrt(val)), method="entropic", error_estimate=float(err),
@@ -441,17 +444,12 @@ def smoothed_dual_potential(f_values_on_grid, basis: SpectralBasis,
     if eps <= 0:
         raise TransportError("smoothing scale must be positive")
     f = np.asarray(f_values_on_grid, dtype=float)
-    K, _ = ground_kernel_matrix(basis, eps * theta / 2.0)
+    K, _ = ground_kernel(basis, basis.grid, basis.grid, eps * theta / 2.0)
     w0 = basis.ground_state**2 * basis.weights
     # log-domain integration against mu_0
     logI = logsumexp(np.log(np.maximum(K, 1e-300)) + (-f / eps)[None, :]
                      + np.log(np.maximum(w0, 1e-300))[None, :], axis=1)
     return -eps * logI
-
-
-def ground_kernel_matrix(basis: SpectralBasis, t: float):
-    from .semigroup import ground_kernel
-    return ground_kernel(basis, basis.grid, basis.grid, t)
 
 
 def export_plan_csv(plan: np.ndarray, path, threshold: float = 1e-15):

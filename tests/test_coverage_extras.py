@@ -22,10 +22,10 @@ def test_project_raw_grid_density(dirichlet_basis_64):
     nodes = np.linspace(0.0, 1.0, 4097)
     vals = 2.0 * np.sin(np.pi * nodes) ** 2      # Lebesgue density of mu_0
     nu = InitialDistribution.from_grid_density(nodes, vals)
-    got = project(nu, basis).values
+    got = project(nu, basis)
     ref = project(InitialDistribution(kind="density_mu",
                                       density=basis.ground_state**2,
-                                      nodes=basis.grid), basis).values
+                                      nodes=basis.grid), basis)
     assert np.max(np.abs(got - ref)) <= 1e-6
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from condemp.cli import main as cli_main
 from condemp.harness import (ConfigError, ExperimentConfig, mu0_measure,
-                             run_convergence, run_sandwich)
+                             run_convergence, run_mc_crosscheck, run_sandwich)
+from condemp.limits import LimitError
 
 BASE_CONFIG = {
     "version": "1",
@@ -59,6 +60,31 @@ def test_unknown_mc_keys_rejected(tmp_path):
     path = write_config(tmp_path, mc={"paths": 3})
     with pytest.raises(ConfigError, match="unknown mc keys"):
         ExperimentConfig.load(path)
+
+
+def test_unknown_w2_method_rejected(tmp_path):
+    path = write_config(tmp_path, w2_method="bogus")
+    with pytest.raises(ConfigError, match="unknown w2_method 'bogus'"):
+        ExperimentConfig.load(path)
+    assert run_cli("w2", "--config", str(path), "--out", str(tmp_path / "res")) == 2
+
+
+RECTANGLE = {"kind": "rectangle", "bounds": [0.0, 1.0, 0.0, 0.5], "boundary": "dirichlet"}
+
+
+def test_rectangle_rejected_where_measures_are_1d(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, domain=RECTANGLE, modes=64)
+    cfg = ExperimentConfig.load(cfg_path)
+    for run in (run_convergence, lambda c: run_sandwich(c, 2.0), run_mc_crosscheck):
+        with pytest.raises(ConfigError, match="needs an interval domain"):
+            run(cfg)
+    out = str(tmp_path / "res")
+    for command in ("converge", "sandwich", "mc", "w2", "density"):
+        assert run_cli(command, "--config", str(cfg_path), "--out", out) == 2
+        assert "needs an interval domain" in capsys.readouterr().err
+    for command in ("basis", "project", "limit"):
+        assert run_cli(command, "--config", str(cfg_path), "--out", out) == 0
+    assert not os.path.exists(os.path.join(out, "density_t1.csv"))
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +152,30 @@ def test_sandwich_degenerate_flat_density(tmp_path):
     assert row["lower"] == 0.0
     assert row["w2sq"] <= 1e-12
     assert row["upper"] <= 1e-20
+
+
+def test_single_mode_limit_asks_for_more_modes(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, modes=1)
+    with pytest.raises(LimitError, match="raise the mode count"):
+        run_convergence(ExperimentConfig.load(cfg_path))
+    assert run_cli("limit", "--config", str(cfg_path), "--out", str(tmp_path / "res")) == 2
+    assert "raise the mode count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides", [
+    {"modes": 48},
+    {"domain": {"kind": "interval", "bounds": [0.0, 1.0], "boundary": "neumann"},
+     "nu": {"kind": "point", "x": 0.0}, "times": [4.0], "modes": 64},
+], ids=["dirichlet-mu", "neumann-point"])
+def test_limit_command_reports_what_converge_reports(tmp_path, overrides):
+    cfg_path = write_config(tmp_path, n_quantiles=4000, grid_nodes=1025, **overrides)
+    out = tmp_path / "res"
+    assert run_cli("limit", "--config", str(cfg_path), "--out", str(out)) == 0
+    doc = json.loads((out / "limit.json").read_text())
+    limit = run_convergence(ExperimentConfig.load(cfg_path)).limit
+    assert doc["I_value"] == limit.I_value
+    assert doc["tail_bound"] == limit.tail_bound
+    assert doc["modes_used"] == limit.modes_used
 
 
 def test_point_mass_convergence(tmp_path):

@@ -96,13 +96,13 @@ def test_I_shift_consistency(dirichlet_basis_128):
     nu = InitialDistribution.from_mu()
     nu_c = project(nu, basis)
     mu_c = mu_coefficients(basis)
-    base = compute_I(nu_c.values, mu_c.values, basis.eigenvalues,
+    base = compute_I(nu_c, mu_c, basis.eigenvalues,
                      tol=1e-6, d=1, nu_l2_bound=1.0).I_value
     errors = []
     for eps in (0.02, 0.01, 0.005):
         surv = survival_probability(nu_c, mu_c, basis.eigenvalues, eps)
-        shifted = np.exp(-basis.eigenvalues * eps) * nu_c.values / surv
-        I_eps = compute_I(shifted, mu_c.values, basis.eigenvalues,
+        shifted = np.exp(-basis.eigenvalues * eps) * nu_c / surv
+        I_eps = compute_I(shifted, mu_c, basis.eigenvalues,
                           tol=1e-3, d=1).I_value
         errors.append(abs(I_eps - base))
     # monotone approach; ratios improve toward the first-order regime
@@ -125,7 +125,7 @@ def test_neumann_delta0_closed_form():
 
 def test_neumann_invariant_start_is_zero(neumann_basis_64):
     nu_c = project(InitialDistribution.from_mu(), neumann_basis_64)
-    rep = compute_I_neumann(nu_c.values, neumann_basis_64.eigenvalues)
+    rep = compute_I_neumann(nu_c, neumann_basis_64.eigenvalues)
     assert rep.I_value <= 1e-26
     assert not rep.positive
 

@@ -27,7 +27,7 @@ def test_rectangle_limit_constant(rect_basis):
     basis = rect_basis
     nu_c = project(InitialDistribution.from_mu(), basis)
     mu_c = mu_coefficients(basis)
-    rep = compute_I(nu_c.values, mu_c.values, basis.eigenvalues,
+    rep = compute_I(nu_c, mu_c, basis.eigenvalues,
                     tol=1e-3, d=2, nu_l2_bound=1.0)
     # oracle: tensor closed forms mu(phi_ij) = mux(i) muy(j) over many modes
     lam_or = []

@@ -14,7 +14,6 @@ from condemp.semigroup import (SeriesError, apply_dirichlet_semigroup,
                                ground_semigroup_apply, mean_empirical_density,
                                psi_s_nu, rho_tilde, survival_probability,
                                time_shift)
-from condemp.spectral import ModeCoefficients
 
 PI2 = np.pi**2
 GAP1 = 3 * PI2          # first spectral gap on the unit interval
@@ -66,7 +65,7 @@ def test_time_integral_properties(a, d, t):
 
 def test_identity_at_time_zero(dirichlet_basis_64):
     basis = dirichlet_basis_64
-    coeffs = ModeCoefficients(np.eye(basis.M)[1], source="phi_1")
+    coeffs = np.eye(basis.M)[1]
     vals, _ = apply_dirichlet_semigroup(coeffs, basis, 0.0)
     assert np.max(np.abs(vals - basis.eigenfunctions[1])) <= 1e-12
 
@@ -145,7 +144,7 @@ def test_ground_kernel_small_time_report():
 
 def test_psi_single_mode_is_constant(dirichlet_basis_64):
     basis = dirichlet_basis_64
-    coeffs = ModeCoefficients(np.eye(basis.M)[0] * 0.7)
+    coeffs = np.eye(basis.M)[0] * 0.7
     for s in (0.0, 0.4, 2.0):
         psi = psi_s_nu(coeffs, basis, s)
         assert np.max(np.abs(psi - 0.7)) <= 1e-13
@@ -173,10 +172,10 @@ def test_psi_relaxation_rate(dirichlet_basis_64):
     nu = InitialDistribution(kind="density_mu", density=basis.ground_state**2,
                              nodes=basis.grid, name="mu0")
     nu_c = project(nu, basis)
-    assert abs(nu_c.values[1]) <= 1e-12      # parity kills mode 1
+    assert abs(nu_c[1]) <= 1e-12      # parity kills mode 1
     sup = {}
     for s in (0.2, 0.3):
-        dev = (nu_c.values[1:, None] * np.exp(-basis.gaps[1:, None] * s)
+        dev = (nu_c[1:, None] * np.exp(-basis.gaps[1:, None] * s)
                * basis.ground_ratio[1:]).sum(axis=0)
         sup[s] = np.max(np.abs(dev))
     gap2 = basis.gaps[2]
@@ -314,9 +313,9 @@ def test_time_shift_coefficient_identity(dirichlet_basis_128):
     mu_c = mu_coefficients(basis)
     eps = 0.01
     shifted = time_shift(nu, basis, eps)
-    got = project(shifted, basis).values
+    got = project(shifted, basis)
     surv = survival_probability(nu_c, mu_c, basis.eigenvalues, eps)
-    expected = np.exp(-basis.eigenvalues * eps) * nu_c.values / surv
+    expected = np.exp(-basis.eigenvalues * eps) * nu_c / surv
     assert np.max(np.abs(got - expected)) <= 1e-7
 
 

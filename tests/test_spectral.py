@@ -110,13 +110,13 @@ def test_project_mu_closed_form(dirichlet_basis_64):
     coeffs = project(InitialDistribution.from_mu(), dirichlet_basis_64)
     k = np.arange(64) + 1
     exact = np.where(k % 2 == 1, 2.0 * np.sqrt(2.0) / (k * np.pi), 0.0)
-    assert np.max(np.abs(coeffs.values - exact)) <= 1e-12
+    assert np.max(np.abs(coeffs - exact)) <= 1e-12
 
 
 def test_project_point_mass(dirichlet_basis_64):
     coeffs = project(InitialDistribution.from_point(0.5), dirichlet_basis_64)
-    assert coeffs.values[0] == pytest.approx(np.sqrt(2.0), abs=1e-14)
-    assert coeffs.values[1] == pytest.approx(0.0, abs=1e-14)
+    assert coeffs[0] == pytest.approx(np.sqrt(2.0), abs=1e-14)
+    assert coeffs[1] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_project_mu0_quadrature_refinement():
@@ -127,7 +127,7 @@ def test_project_mu0_quadrature_refinement():
         nu = InitialDistribution(kind="density_mu",
                                  density=basis.ground_state**2,
                                  nodes=basis.grid, name="mu0")
-        got.append(project(nu, basis).values)
+        got.append(project(nu, basis))
     assert np.max(np.abs(got[0] - got[1])) <= 1e-11
     # analytic value of the first coefficient: integral of phi_0^3 d(mu)
     assert got[1][0] == pytest.approx(8.0 * np.sqrt(2.0) / (3.0 * np.pi), rel=1e-12)
@@ -148,10 +148,11 @@ def test_project_rejects_bad_measures(dirichlet_basis_64):
 
 
 def test_mu_coefficient_budget(dirichlet_basis_128, neumann_basis_64):
-    assert mu_coefficients(dirichlet_basis_128).sum_of_squares() <= 1.0 + 1e-8
+    mu_c = mu_coefficients(dirichlet_basis_128)
+    assert np.dot(mu_c, mu_c) <= 1.0 + 1e-8
     neu = mu_coefficients(neumann_basis_64)
-    assert neu.values[0] == pytest.approx(1.0, abs=1e-13)
-    assert np.max(np.abs(neu.values[1:])) <= 1e-13
+    assert neu[0] == pytest.approx(1.0, abs=1e-13)
+    assert np.max(np.abs(neu[1:])) <= 1e-13
 
 
 def test_completeness_doubling():
