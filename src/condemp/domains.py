@@ -88,16 +88,13 @@ class Domain:
         return 1 if self.kind == "interval" else 2
 
     @property
-    def lengths(self) -> tuple:
-        if self.kind == "interval":
-            return (self.bounds[1] - self.bounds[0],)
-        return (self.bounds[1] - self.bounds[0], self.bounds[3] - self.bounds[2])
+    def axes(self) -> tuple:
+        """(lo, hi) per axis."""
+        return tuple(zip(self.bounds[::2], self.bounds[1::2]))
 
     @property
-    def diameter(self) -> float:
-        if self.kind == "interval":
-            return self.lengths[0]
-        return float(np.hypot(*self.lengths))
+    def lengths(self) -> tuple:
+        return tuple(hi - lo for lo, hi in self.axes)
 
     def potential_values(self, x) -> np.ndarray:
         """V evaluated at 1D nodes x (zero when no potential is set)."""
@@ -108,10 +105,7 @@ class Domain:
 
     def contains_interior(self, point) -> bool:
         p = np.atleast_1d(np.asarray(point, dtype=float))
-        if self.kind == "interval":
-            return bool(self.bounds[0] < p[0] < self.bounds[1])
-        a, b, c, d = self.bounds
-        return bool(a < p[0] < b and c < p[1] < d)
+        return p.size >= self.dim and all(lo < x < hi for x, (lo, hi) in zip(p, self.axes))
 
     def to_dict(self) -> dict:
         doc = {"kind": self.kind, "bounds": list(self.bounds), "boundary": self.boundary}

@@ -81,6 +81,8 @@ class ExperimentConfig:
         if unknown_mc:
             raise ConfigError(f"unknown mc keys: {sorted(unknown_mc)}")
         times = [float(t) for t in doc.get("times", [2.0, 4.0, 8.0, 16.0])]
+        if not times or min(times) <= 0:
+            raise ConfigError(f"times must be a nonempty list of positive times, got {times}")
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ConfigError("time grid must be strictly increasing")
         w2_method = str(doc.get("w2_method", "quantile1d"))

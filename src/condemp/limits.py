@@ -18,7 +18,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .measures import InitialDistribution
-from .spectral import weyl_floor
+from .spectral import bessel_remainder, weyl_floor
 
 __all__ = ["LimitError", "LimitReport", "compute_I", "compute_I_neumann",
            "finiteness_predicate"]
@@ -58,14 +58,14 @@ def _require_tail_modes(M: int):
 
 
 def compute_I(nu_coeffs, mu_coeffs, eigenvalues, tol: float = 1e-10,
-              d: int = 1, sup_norm_constant: float | None = None,
-              nu_l2_bound: float | None = None) -> LimitReport:
+              d: int = 1, nu_l2_bound: float | None = None) -> LimitReport:
     """Killed-case limit constant from coefficient and eigenvalue arrays.
 
     The tail over dropped modes is bounded with (x+y)^2 <= 2x^2 + 2y^2:
-    the mu side uses the Bessel budget sum mu(phi_m)^2 <= 1, the nu side a
-    supplied L2 budget or, failing that, a sup-norm envelope
-    |nu(phi_m)| <= C sqrt(m) with C fitted from the data.
+    the mu side uses what the Bessel budget sum mu(phi_m)^2 <= 1 leaves after
+    every retained mode, the nu side the same for a supplied L2 budget or,
+    failing that, a sup-norm envelope |nu(phi_m)| <= C sqrt(m) with C fitted
+    from the data.
     """
     nu_c = np.asarray(nu_coeffs, dtype=float)
     mu_c = np.asarray(mu_coeffs, dtype=float)
@@ -87,15 +87,13 @@ def compute_I(nu_coeffs, mu_coeffs, eigenvalues, tol: float = 1e-10,
 
     kappa = weyl_floor(gaps, d)
     gap_M = kappa * M ** (2.0 / d)
-    mu_budget = max(0.0, 1.0 - float(np.sum(mu_c[1:] ** 2)))
+    mu_budget = bessel_remainder(1.0, mu_c)
     if nu_l2_bound is not None:
-        nu_budget = max(0.0, float(nu_l2_bound) - float(np.sum(nu_c[1:] ** 2)))
+        nu_budget = bessel_remainder(nu_l2_bound, nu_c)
         tail = 2.0 * (nu_c[0] ** 2 * mu_budget + mu_c[0] ** 2 * nu_budget) / (scale * gap_M**3)
     else:
-        C = sup_norm_constant
-        if C is None:
-            m = np.arange(1, M, dtype=float)
-            C = float(np.max(np.abs(nu_c[1:]) / np.sqrt(m))) * 1.5
+        m = np.arange(1, M, dtype=float)
+        C = float(np.max(np.abs(nu_c[1:]) / np.sqrt(m))) * 1.5
         # sum_{m>=M} C^2 m / (kappa m^(2/d))^3, plus the mu-budget piece
         m_ext = np.arange(M, 20 * M, dtype=float)
         nu_tail = float(np.sum(C**2 * m_ext / (kappa * m_ext ** (2.0 / d)) ** 3))

@@ -30,6 +30,7 @@ __all__ = ["SimulationError", "SimulationConfig", "PathEnsembleSummary",
            "simulate", "conditional_empirical_w2", "export_ensemble_csv"]
 
 BLOCK = 16384      # fixed stream-block size; never tied to worker count
+EMPIRICAL_QUANTILES = 20000   # quantile nodes of the conditional empirical W2
 
 
 class SimulationError(ValueError):
@@ -49,7 +50,7 @@ class SimulationConfig:
     n_bins: int = 256
     islands: int = 24                     # resampling populations
     checkpoints: tuple = ()
-    drift: object = None                  # callable V'(x); None means zero
+    drift: object = field(init=False)     # callable V'(x) of the potential; None when V = 0
 
     def __post_init__(self):
         if self.domain.kind != "interval":
@@ -62,7 +63,8 @@ class SimulationConfig:
             raise SimulationError("dt must not exceed horizon/100")
         if self.resample and self.boundary_rule != "kill":
             raise SimulationError("resampling applies to the killed mode only")
-        if self.drift is None and self.domain.potential is not None:
+        self.drift = None
+        if self.domain.potential is not None:
             spline = self.domain.potential.spline()
             self.drift = lambda x: spline(x, 1)
 
@@ -298,15 +300,14 @@ def simulate(config: SimulationConfig) -> PathEnsembleSummary:
 
 
 def conditional_empirical_w2(summary: PathEnsembleSummary, reference: GridMeasure,
-                             n_bootstrap: int = 200,
-                             n_quantiles: int = 20000):
+                             n_bootstrap: int = 200):
     """Quantile distance between the occupation histogram and a reference,
     with path-level (or island-level) bootstrap error bars."""
     cfg = summary.config
     if summary.effective_sample_size < 1000:
         raise SimulationError("need at least 1000 effective samples")
     base = w2_quantile_1d(summary.occupation_measure(), reference,
-                          n_quantiles=n_quantiles)
+                          n_quantiles=EMPIRICAL_QUANTILES)
     rng = _rng_for(cfg.seed, 10**6)
     edges = summary.bin_edges
     widths = np.diff(edges)

@@ -19,6 +19,9 @@ from scipy.interpolate import PchipInterpolator
 __all__ = ["MeasureError", "GridMeasure", "InitialDistribution"]
 
 
+NEWTON_ITERS = 60      # cap on guarded Newton steps per quantile inversion
+
+
 class MeasureError(ValueError):
     pass
 
@@ -87,36 +90,21 @@ class GridMeasure:
     Parameters
     ----------
     nodes : ascending 1D grid (endpoints may be included).
-    density : values of the density at the nodes w.r.t. `reference`.
-    reference : "lebesgue", "mu", or "mu0"; non-Lebesgue references need
-        `reference_lebesgue`, the Lebesgue density of the reference measure
-        at the nodes, so everything can be reduced to a Lebesgue density.
+    density : values of the Lebesgue density at the nodes.
     histogram : if True the density is treated as piecewise constant on the
         cells between nodes and the CDF is piecewise linear.
     """
 
-    def __init__(self, nodes, density, reference: str = "lebesgue",
-                 reference_lebesgue=None, histogram: bool = False,
-                 name: str = ""):
+    def __init__(self, nodes, density, histogram: bool = False, name: str = ""):
         nodes = np.asarray(nodes, dtype=float)
-        density = np.asarray(density, dtype=float)
+        leb = np.array(density, dtype=float)
         if nodes.ndim != 1 or np.any(np.diff(nodes) <= 0):
             raise MeasureError("nodes must be strictly increasing 1D")
-        if reference not in ("lebesgue", "mu", "mu0"):
-            raise MeasureError(f"unknown reference measure {reference!r}")
-        if reference != "lebesgue":
-            if reference_lebesgue is None:
-                raise MeasureError(f"reference {reference!r} needs its Lebesgue density")
-            leb = density * np.asarray(reference_lebesgue, dtype=float)
-        else:
-            leb = density.copy()
         if np.min(leb) < -1e-12 * max(1.0, float(np.max(np.abs(leb)))):
             raise MeasureError(f"density negative beyond tolerance (min {np.min(leb):.3e})")
         leb = np.maximum(leb, 0.0)
 
         self.nodes = nodes
-        self.reference = reference
-        self.density = density
         self.histogram = histogram
         self.name = name
         self.lebesgue_density = leb
@@ -146,9 +134,6 @@ class GridMeasure:
     def support(self):
         return float(self.nodes[0]), float(self.nodes[-1])
 
-    def mass(self) -> float:
-        return self._mass
-
     def cdf(self, x) -> np.ndarray:
         """Normalized CDF values at x."""
         x = np.asarray(x, dtype=float)
@@ -166,7 +151,7 @@ class GridMeasure:
             return self.lebesgue_density[idx] / self._mass
         return np.maximum(self._pchip(np.clip(x, self.nodes[0], self.nodes[-1])), 0.0) / self._mass
 
-    def quantile(self, u, newton_iters: int = 60) -> np.ndarray:
+    def quantile(self, u) -> np.ndarray:
         """Inverse CDF.  Smooth measures use Newton with a bisection guard."""
         u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
         a, b = self.support
@@ -183,7 +168,7 @@ class GridMeasure:
         y = np.interp(u, table_f, table_x)
         lo = np.full_like(y, a)
         hi = np.full_like(y, b)
-        for _ in range(newton_iters):
+        for _ in range(NEWTON_ITERS):
             f = self.cdf(y) - u
             lo = np.where(f <= 0, y, lo)
             hi = np.where(f > 0, y, hi)
@@ -266,4 +251,4 @@ class GridMeasure:
         total = float(np.sum(masses))
         if total <= 0:
             raise MeasureError("histogram has no mass")
-        return cls(edges, dens / total, reference="lebesgue", histogram=True, name=name)
+        return cls(edges, dens / total, histogram=True, name=name)

@@ -17,8 +17,8 @@ import numpy as np
 
 from .domains import DIRICHLET, NEUMANN
 from .measures import InitialDistribution
-from .spectral import (SpectralBasis, mu_coefficients, nu_l2_budget, project,
-                       weyl_floor)
+from .spectral import (SpectralBasis, bessel_remainder, mu_coefficients,
+                       nu_l2_budget, project, weyl_floor)
 
 __all__ = [
     "SeriesError",
@@ -352,9 +352,7 @@ def _rho_tail_bound(nu_c, mu_c, basis, t, Z,
 
     def side_tail(coeffs, l2_budget):
         if l2_budget is not None:
-            # Bessel: what is left of the L2 budget after all retained modes
-            budget = max(l2_budget - float(np.sum(coeffs**2)), 0.0)
-            return np.sqrt(budget) * ratio_over_gap
+            return np.sqrt(bessel_remainder(l2_budget, coeffs)) * ratio_over_gap
         A, p = _coeff_envelope(coeffs)
         return float(np.sum(A * m_ext ** (q_R - p) * C_R / gaps_ext))
 

@@ -1,8 +1,9 @@
 """Eigenbases of -(Delta + grad V . grad) on model domains.
 
-Provides closed-form sine/cosine bases on intervals and rectangles (zero
-potential) and a symmetrized finite-difference solver for intervals with a
-tabulated potential.  A basis bundles eigenvalues, eigenfunction samples on
+Provides closed-form tensor-product sine/cosine bases on intervals and
+rectangles (zero potential; an interval is the one-axis case) and a
+symmetrized finite-difference solver for intervals with a tabulated
+potential.  A basis bundles eigenvalues, eigenfunction samples on
 an interior Gauss-Legendre quadrature grid, quadrature weights representing
 the probability measure mu = e^V dx / Z, and per-mode sup-norm data for the
 ground-state ratio phi_m / phi_0.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -34,6 +36,8 @@ __all__ = [
     "sup_norm_growth_report",
     "gauss_legendre",
     "analytic_eigenvalues",
+    "mode_table",
+    "bessel_remainder",
 ]
 
 ORTHO_TOL = 1e-8
@@ -53,37 +57,63 @@ def gauss_legendre(n: int, a: float, b: float):
     return 0.5 * (b - a) * (x + 1.0) + a, 0.5 * (b - a) * w
 
 
-def analytic_eigenvalues(domain: Domain, M: int) -> np.ndarray:
-    """Closed-form eigenvalues for the zero-potential bases, ascending."""
+def mode_table(domain: Domain, M: int):
+    """The M lowest tensor-product modes, ascending: eigenvalues and per-axis
+    indices of shape (M, dim).  Index k on an axis of length L contributes
+    (pi k / L)^2; Dirichlet axes start at k = 1, Neumann axes at k = 0.
+    Equal eigenvalues are ordered by their indices, first axis first."""
     if domain.potential is not None:
         raise BasisError("closed-form eigenvalues require zero potential")
-    if domain.kind == "interval":
-        L = domain.lengths[0]
-        if domain.boundary == DIRICHLET:
-            return ((np.arange(M) + 1) * np.pi / L) ** 2
-        return (np.arange(M) * np.pi / L) ** 2
-    lam, _ = _rectangle_mode_table(domain, M)
-    return lam
+    d = domain.dim
+    L = np.asarray(domain.lengths)
+    lo = 1 if domain.boundary == DIRICHLET else 0
+    n = int(np.ceil(M ** (1.0 / d))) + 1        # indices per axis, grown until closed
+    while True:
+        k = np.arange(lo, lo + n)
+        idx = np.stack(np.meshgrid(*[k] * d, indexing="ij"), axis=-1).reshape(-1, d)
+        lam = np.sum((np.pi * idx / L) ** 2, axis=1)
+        order = np.lexsort([*idx.T[::-1], lam])[:M]
+        # the lowest mode outside the index box must lie above every mode kept
+        base = (np.pi * lo / L) ** 2
+        outside = np.min((np.pi * (lo + n) / L) ** 2 - base) + np.sum(base)
+        if order.size == M and lam[order[-1]] < outside:
+            return lam[order], idx[order]
+        n *= 2
 
 
-def _rectangle_mode_table(domain: Domain, M: int):
-    """Sorted (eigenvalue, (i, j)) table for tensor-product rectangle modes."""
-    Lx, Ly = domain.lengths
-    # enough per-axis indices to cover the M smallest tensor eigenvalues
-    k = 1
-    while (k + 1) ** 2 < 4 * M + 16:
-        k += 1
-    if domain.boundary == DIRICHLET:
-        idx = np.arange(1, k + 1)
-    else:
-        idx = np.arange(0, k + 1)
-    ii, jj = np.meshgrid(idx, idx, indexing="ij")
-    lam = (np.pi * ii / Lx) ** 2 + (np.pi * jj / Ly) ** 2
-    flat = sorted(zip(lam.ravel(), ii.ravel(), jj.ravel()),
-                  key=lambda t: (t[0], t[1], t[2]))
-    flat = flat[:M]
-    return (np.array([t[0] for t in flat], dtype=float),
-            [(int(t[1]), int(t[2])) for t in flat])
+def analytic_eigenvalues(domain: Domain, M: int) -> np.ndarray:
+    """Closed-form eigenvalues for the zero-potential bases, ascending."""
+    return mode_table(domain, M)[0]
+
+
+def _axis_factors(k: np.ndarray, u: np.ndarray, boundary: str, ratio: bool) -> np.ndarray:
+    """One axis of the tensor modes at unit coordinates u, shape (k.size, u.size):
+    sqrt(2) sin(k pi u) (Dirichlet), sqrt(2) cos(k pi u) and 1 for k = 0
+    (Neumann).  With ratio, the Dirichlet factor is divided by the ground
+    factor, sin(k pi u) / sin(pi u), with its limits filled in at the faces;
+    the Neumann ground factor is 1."""
+    if boundary == NEUMANN:
+        vals = np.sqrt(2.0) * np.cos(np.outer(k, np.pi * u))
+        vals[k == 0] = 1.0
+        return vals
+    if not ratio:
+        return np.sqrt(2.0) * np.sin(np.outer(k, np.pi * u))
+    out = np.empty((k.size, u.size))
+    inner = (u > 0.0) & (u < 1.0)
+    out[:, inner] = np.sin(np.outer(k, np.pi * u[inner])) / np.sin(np.pi * u[inner])
+    out[:, u <= 0.0] = k[:, None]
+    out[:, u >= 1.0] = (k * (-1.0) ** (k + 1))[:, None]
+    return out
+
+
+def _tensor_modes(domain: Domain, idx: np.ndarray, x, ratio: bool) -> np.ndarray:
+    """Closed-form modes (or ground-state ratios) with per-axis indices idx at
+    points x, (n,) on an interval or (n, 2) on a rectangle: the product over
+    axes of the per-axis factors, shape (len(idx), n)."""
+    pts = np.asarray(x, dtype=float).reshape(-1, domain.dim)
+    return reduce(np.multiply, [
+        _axis_factors(idx[:, ax], (pts[:, ax] - lo) / (hi - lo), domain.boundary, ratio)
+        for ax, (lo, hi) in enumerate(domain.axes)])
 
 
 def weyl_floor(gaps: np.ndarray, d: int) -> float:
@@ -115,7 +145,6 @@ class SpectralBasis:
     sup_norms: np.ndarray
     ratio_sups: np.ndarray
     analytic: bool = True
-    mode_indices: list | None = None   # rectangle: per-mode (i, j)
     _splines: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -134,13 +163,18 @@ class SpectralBasis:
     def ground_ratio(self) -> np.ndarray:
         return self.eigenfunctions / self.eigenfunctions[0]
 
+    @cached_property
+    def mode_indices(self) -> np.ndarray:
+        """Per-axis indices (M, dim) of the closed-form modes."""
+        return mode_table(self.domain, self.M)[1]
+
     # ---- evaluation -------------------------------------------------
 
     def eval_modes(self, x, modes=None) -> np.ndarray:
         """Eigenfunction values at arbitrary points, shape (M_sel, len(x))."""
         sel = np.arange(self.M) if modes is None else np.asarray(modes)
         if self.analytic:
-            return self._eval_analytic(x, sel)
+            return _tensor_modes(self.domain, self.mode_indices[sel], x, ratio=False)
         x = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty((sel.size, x.size))
         for r, m in enumerate(sel):
@@ -149,24 +183,9 @@ class SpectralBasis:
 
     def eval_ratio(self, x) -> np.ndarray:
         """phi_m / phi_0 at arbitrary points with boundary limits resolved."""
+        if self.analytic:
+            return _tensor_modes(self.domain, self.mode_indices, x, ratio=True)
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.analytic and self.domain.kind == "interval" \
-                and self.domain.boundary == DIRICHLET:
-            a, b = self.domain.bounds
-            L = b - a
-            u = (x - a) / L
-            k = np.arange(1, self.M + 1)
-            out = np.empty((self.M, x.size))
-            inner = (u > 0.0) & (u < 1.0)
-            s = np.sin(np.pi * u[inner])
-            out[:, inner] = np.sin(np.outer(k, np.pi * u[inner])) / s
-            out[:, u <= 0.0] = k[:, None]
-            out[:, u >= 1.0] = (k * (-1.0) ** (k + 1))[:, None]
-            return out
-        if self.analytic and self.domain.boundary == NEUMANN:
-            return self.eval_modes(x)      # phi_0 = 1
-        if self.analytic and self.domain.kind == "rectangle":
-            return self._rect_tensor(x, np.arange(self.M), _axis_ratio)
         phi = self.eval_modes(x)
         return phi / self._ratio_safe_ground(x, phi)
 
@@ -198,32 +217,6 @@ class SpectralBasis:
         out = np.empty((self.M, x.size))
         for m in range(self.M):
             out[m] = CubicSpline(self.grid, ratio[m])(x, 1)
-        return out
-
-    def _eval_analytic(self, x, sel):
-        dom = self.domain
-        if dom.kind == "interval":
-            a, b = dom.bounds
-            L = b - a
-            u = (np.atleast_1d(np.asarray(x, dtype=float)) - a) / L
-            if dom.boundary == DIRICHLET:
-                k = sel + 1
-                return np.sqrt(2.0) * np.sin(np.outer(k, np.pi * u))
-            vals = np.sqrt(2.0) * np.cos(np.outer(sel, np.pi * u))
-            vals[sel == 0] = 1.0
-            return vals
-        return self._rect_tensor(x, sel, lambda k, u: _axis_mode(k, u, dom.boundary))
-
-    def _rect_tensor(self, x, sel, axis_fn):
-        """Rectangle modes as products axis_fn(i, ux) * axis_fn(j, uy)."""
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        a, b, c, d = self.domain.bounds
-        ux = (pts[:, 0] - a) / (b - a)
-        uy = (pts[:, 1] - c) / (d - c)
-        out = np.empty((sel.size, pts.shape[0]))
-        for r, m in enumerate(sel):
-            i, j = self.mode_indices[int(m)]
-            out[r] = axis_fn(i, ux) * axis_fn(j, uy)
         return out
 
     def _ratio_safe_ground(self, x, phi):
@@ -287,7 +280,7 @@ class SpectralBasis:
     # ---- serialization ----------------------------------------------
 
     def to_dict(self) -> dict:
-        doc = {
+        return {
             "schema": "condemp.basis/1",
             "domain": self.domain.to_dict(),
             "eigenvalues": self.eigenvalues.tolist(),
@@ -299,9 +292,6 @@ class SpectralBasis:
             "ratio_sups": self.ratio_sups.tolist(),
             "analytic": self.analytic,
         }
-        if self.mode_indices is not None:
-            doc["mode_indices"] = [list(t) for t in self.mode_indices]
-        return doc
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -321,8 +311,10 @@ class SpectralBasis:
             sup_norms=np.asarray(doc["sup_norms"], dtype=float),
             ratio_sups=np.asarray(doc["ratio_sups"], dtype=float),
             analytic=bool(doc["analytic"]),
-            mode_indices=[tuple(t) for t in doc["mode_indices"]] if "mode_indices" in doc else None,
         )
+        # files from before the indices were derived carry them: they must agree
+        if "mode_indices" in doc and not np.array_equal(doc["mode_indices"], basis.mode_indices):
+            raise BasisError("stored mode_indices disagree with the closed-form mode table")
         return basis.validate()
 
     @classmethod
@@ -331,83 +323,38 @@ class SpectralBasis:
             return cls.from_dict(json.load(fh))
 
 
-def _axis_mode(k: int, u: np.ndarray, boundary: str) -> np.ndarray:
-    if boundary == DIRICHLET:
-        return np.sqrt(2.0) * np.sin(k * np.pi * u)
-    if k == 0:
-        return np.ones_like(u)
-    return np.sqrt(2.0) * np.cos(k * np.pi * u)
-
-
-def _axis_ratio(k: int, u: np.ndarray) -> np.ndarray:
-    """sin(k pi u)/sin(pi u) with its values at the faces filled in."""
-    out = np.empty_like(u)
-    inner = (u > 0.0) & (u < 1.0)
-    out[inner] = np.sin(k * np.pi * u[inner]) / np.sin(np.pi * u[inner])
-    out[u <= 0.0] = k
-    out[u >= 1.0] = k * (-1.0) ** (k + 1)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
 
 def build_analytic_basis(domain: Domain, M: int, n_quad: int | None = None) -> SpectralBasis:
-    """Closed-form basis on an interval or rectangle with zero potential."""
+    """Closed-form tensor-product basis on an interval or rectangle with zero
+    potential, sampled on the product of n_quad Gauss-Legendre nodes per axis
+    (default 4 M + 64 on an interval, max(2 k + 24, 32) on a rectangle whose
+    largest axis index is k).  Sup norms and ratio sups are products of the
+    per-axis ones."""
     if M < 1:
         raise BasisError("need at least one mode")
     if domain.potential is not None:
         raise BasisError("analytic basis requires zero potential; use solve_sturm_liouville")
-    if domain.kind == "interval":
-        a, b = domain.bounds
-        L = b - a
-        if n_quad is None:
-            n_quad = 4 * M + 64
-        x, wl = gauss_legendre(n_quad, a, b)
-        mu_leb = np.full(n_quad, 1.0 / L)
-        w = wl * mu_leb
-        w /= w.sum()
-        lam = analytic_eigenvalues(domain, M)
-        basis = SpectralBasis(
-            domain=domain, eigenvalues=lam, grid=x, weights=w, mu_lebesgue=mu_leb,
-            eigenfunctions=np.empty((0, 0)), sup_norms=np.empty(0),
-            ratio_sups=np.empty(0), analytic=True)
-        basis.eigenfunctions = basis._eval_analytic(x, np.arange(M))
-        basis.sup_norms = np.full(M, np.sqrt(2.0))
-        if domain.boundary == DIRICHLET:
-            basis.ratio_sups = np.arange(1, M + 1, dtype=float)
-        else:
-            basis.sup_norms[0] = 1.0
-            basis.ratio_sups = basis.sup_norms.copy()
-        return basis.validate()
-
-    # rectangle
-    a, b, c, d = domain.bounds
-    lam, indices = _rectangle_mode_table(domain, M)
-    kmax = max(max(i, j) for i, j in indices)
-    n1 = max(2 * kmax + 24, 32) if n_quad is None else n_quad
-    x1, w1 = gauss_legendre(n1, a, b)
-    y1, w2 = gauss_legendre(n1, c, d)
-    X, Y = np.meshgrid(x1, y1, indexing="ij")
-    pts = np.column_stack([X.ravel(), Y.ravel()])
-    area = (b - a) * (d - c)
-    wl = np.outer(w1, w2).ravel()
-    mu_leb = np.full(pts.shape[0], 1.0 / area)
+    lam, idx = mode_table(domain, M)
+    d = domain.dim
+    if n_quad is None:
+        n_quad = 4 * M + 64 if d == 1 else max(2 * int(idx.max()) + 24, 32)
+    nodes, wl = zip(*[gauss_legendre(n_quad, lo, hi) for lo, hi in domain.axes])
+    grid = nodes[0]
+    if d > 1:
+        grid = np.stack(np.meshgrid(*nodes, indexing="ij"), axis=-1).reshape(-1, d)
+    wl = reduce(lambda p, q: np.outer(p, q).ravel(), wl)
+    mu_leb = np.full(wl.size, 1.0 / np.prod(domain.lengths))
     w = wl * mu_leb
     w /= w.sum()
+    sup_axis = np.where(idx > 0, np.sqrt(2.0), 1.0)
+    ratio_axis = idx.astype(float) if domain.boundary == DIRICHLET else sup_axis
     basis = SpectralBasis(
-        domain=domain, eigenvalues=lam, grid=pts, weights=w, mu_lebesgue=mu_leb,
-        eigenfunctions=np.empty((0, 0)), sup_norms=np.empty(0),
-        ratio_sups=np.empty(0), analytic=True, mode_indices=indices)
-    basis.eigenfunctions = basis._eval_analytic(pts, np.arange(M))
-    if domain.boundary == DIRICHLET:
-        basis.sup_norms = np.full(M, 2.0)
-        basis.ratio_sups = np.array([float(i * j) for i, j in indices])
-    else:
-        basis.sup_norms = np.array([(np.sqrt(2.0) if i else 1.0) * (np.sqrt(2.0) if j else 1.0)
-                                    for i, j in indices])
-        basis.ratio_sups = basis.sup_norms.copy()
+        domain=domain, eigenvalues=lam, grid=grid, weights=w, mu_lebesgue=mu_leb,
+        eigenfunctions=_tensor_modes(domain, idx, grid, ratio=False),
+        sup_norms=np.prod(sup_axis, axis=1), ratio_sups=np.prod(ratio_axis, axis=1))
     return basis.validate()
 
 
@@ -447,8 +394,7 @@ def _sl_eigen_1d(domain: Domain, M: int, n: int):
     return lam, nodes, f
 
 
-def solve_sturm_liouville(domain: Domain, M: int, n_grid: int,
-                          richardson: bool = True) -> SpectralBasis:
+def solve_sturm_liouville(domain: Domain, M: int, n_grid: int) -> SpectralBasis:
     """Numeric interval basis for f'' + V' f' = -lambda f in L^2(mu).
 
     Eigenvalues from the symmetric finite-difference problem at n_grid and
@@ -467,7 +413,7 @@ def solve_sturm_liouville(domain: Domain, M: int, n_grid: int,
 
     lam_c, _, _ = _sl_eigen_1d(domain, M, n_grid)
     lam_f, nodes, f = _sl_eigen_1d(domain, M, 2 * n_grid)
-    lam = (4.0 * lam_f - lam_c) / 3.0 if richardson else lam_f
+    lam = (4.0 * lam_f - lam_c) / 3.0
     if domain.boundary == NEUMANN:
         lam[0] = max(lam[0], 0.0) if abs(lam[0]) < 1e-7 else lam[0]
     scale = max(1.0, float(abs(lam[-1])))
@@ -532,21 +478,16 @@ def project(measure: InitialDistribution, basis: SpectralBasis) -> np.ndarray:
     """Coefficients <measure, phi_m> by quadrature or point evaluation."""
     kind = measure.kind
     if kind == "point":
-        x0 = measure.point
-        if basis.domain.boundary == DIRICHLET:
+        dom = basis.domain
+        x0 = np.atleast_1d(np.asarray(measure.point, dtype=float))[:dom.dim]
+        if dom.boundary == DIRICHLET:
             # killed case: a boundary start dies instantly
-            if not basis.domain.contains_interior(x0):
-                raise ProjectionError(f"point mass at {x0} is not interior to the domain")
-        else:
-            p = np.atleast_1d(np.asarray(x0, dtype=float))
-            bnds = basis.domain.bounds
-            inside = bnds[0] <= p[0] <= bnds[1]
-            if basis.domain.dim == 2:
-                inside = inside and bnds[2] <= p[1] <= bnds[3]
-            if not inside:
-                raise ProjectionError(f"point mass at {x0} lies outside the domain")
-        vals = basis.eval_modes(np.atleast_2d(x0) if basis.domain.dim == 2 else [float(np.atleast_1d(x0)[0])])
-        return vals[:, 0]
+            if not dom.contains_interior(x0):
+                raise ProjectionError(
+                    f"point mass at {measure.point} is not interior to the domain")
+        elif not all(lo <= x <= hi for x, (lo, hi) in zip(x0, dom.axes)):
+            raise ProjectionError(f"point mass at {measure.point} lies outside the domain")
+        return basis.eval_modes(x0)[:, 0]
 
     if kind in ("density_mu", "grid_density"):
         h = measure.density_on(basis.grid)
@@ -575,6 +516,12 @@ def mu_coefficients(basis: SpectralBasis) -> np.ndarray:
     if sum_sq > 1.0 + 1e-8:
         raise ProjectionError(f"sum of squared mu-coefficients {sum_sq:.12f} exceeds 1")
     return coeffs
+
+
+def bessel_remainder(l2_budget: float, coeffs) -> float:
+    """Bessel bound on the sum of squared coefficients over the dropped
+    modes: what an L2 budget leaves after every retained mode."""
+    return max(float(l2_budget) - float(np.sum(np.asarray(coeffs) ** 2)), 0.0)
 
 
 def nu_l2_budget(nu: InitialDistribution, basis: SpectralBasis) -> float | None:

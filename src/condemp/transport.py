@@ -39,6 +39,12 @@ __all__ = [
 ]
 
 
+W1_NODES = 4097           # CDF-gap grid of w1_grid_1d
+ENTROPIC_MAX_NODES = 4096  # atoms per side the entropic route accepts
+BOUNDARY_STRIP = 1e-3      # width of the strip h_minus1_upper_bound reports apart
+DUAL_SEARCH = 32769        # search nodes of the conjugate in the dual lower bound
+
+
 class TransportError(ValueError):
     pass
 
@@ -128,11 +134,11 @@ def w2_quantile_1d(m1: GridMeasure, m2: GridMeasure,
                            details={"n_quantiles": int(u.size)})
 
 
-def w1_grid_1d(m1: GridMeasure, m2: GridMeasure, n_nodes: int = 4097) -> float:
+def w1_grid_1d(m1: GridMeasure, m2: GridMeasure) -> float:
     """First-order transport distance: the integral of the CDF gap."""
     a = min(m1.support[0], m2.support[0])
     b = max(m1.support[1], m2.support[1])
-    x = np.linspace(a, b, n_nodes)
+    x = np.linspace(a, b, W1_NODES)
     gap = np.abs(m1.cdf(x) - m2.cdf(x))
     return float(np.trapezoid(gap, x))
 
@@ -268,9 +274,7 @@ def _ot_eps(a, b, C, eps_schedule, final_drift, symmetric=False):
     return cost, cost_prev, dual, max(row_err, col_err), P, iters
 
 
-def w2_entropic(m1, m2, eps_schedule=None, eps_target: float = 1e-3,
-                atoms: int = 384, tol: float = 0.0,
-                max_nodes: int = 4096) -> TransportResult:
+def w2_entropic(m1, m2, eps_target: float = 1e-3, atoms: int = 384) -> TransportResult:
     """Debiased entropic transport with geometric epsilon scaling.
 
     Accepts GridMeasures (atomized internally) or raw (support, weights)
@@ -282,15 +286,13 @@ def w2_entropic(m1, m2, eps_schedule=None, eps_target: float = 1e-3,
     """
     x, a, h1 = _atoms_of(m1, atoms)
     y, b, h2 = _atoms_of(m2, atoms)
-    if x.shape[0] > max_nodes or y.shape[0] > max_nodes:
-        raise TransportError(f"entropic solver capped at {max_nodes} nodes")
+    if max(x.shape[0], y.shape[0]) > ENTROPIC_MAX_NODES:
+        raise TransportError(f"entropic solver capped at {ENTROPIC_MAX_NODES} nodes")
     Cxy = _sq_cost(x, y)
     diam2 = float(max(Cxy.max(), 1e-30))
-    if eps_schedule is None:
-        n_levels = max(3, int(np.ceil(np.log2(diam2 / 4 / eps_target))) + 1)
-        eps_schedule = np.geomspace(diam2 / 4, eps_target, n_levels)
-    eps_schedule = np.asarray(eps_schedule, dtype=float)
-    final_drift = max(tol, 1e-5 * float(eps_schedule[-1]))
+    n_levels = max(3, int(np.ceil(np.log2(diam2 / 4 / eps_target))) + 1)
+    eps_schedule = np.geomspace(diam2 / 4, eps_target, n_levels)
+    final_drift = 1e-5 * float(eps_schedule[-1])
     cost_ab, prev_ab, dual_ab, viol_ab, P, it_ab = _ot_eps(
         a, b, Cxy, eps_schedule, final_drift)
     Cxx = _sq_cost(x, x)
@@ -332,8 +334,7 @@ def _atoms_of(m, atoms):
 # weighted H^-1 upper bound
 # ---------------------------------------------------------------------------
 
-def h_minus1_upper_bound(h: ConditionalDensity | np.ndarray, basis: SpectralBasis,
-                         boundary_strip: float = 1e-3):
+def h_minus1_upper_bound(h: ConditionalDensity | np.ndarray, basis: SpectralBasis):
     """Upper bound for W2^2 between h mu_0 and mu_0.
 
     Expands rho = h - 1 in the ratio basis, applies the inverse generator
@@ -366,7 +367,7 @@ def h_minus1_upper_bound(h: ConditionalDensity | np.ndarray, basis: SpectralBasi
     total = float(np.dot(integrand, w0))
 
     a, b = basis.domain.bounds[:2]
-    strip = (basis.grid < a + boundary_strip) | (basis.grid > b - boundary_strip)
+    strip = (basis.grid < a + BOUNDARY_STRIP) | (basis.grid > b - BOUNDARY_STRIP)
     strip_part = float(np.dot(integrand[strip], w0[strip]))
     tail_coeff = float(np.sum(c[basis.M // 2:] ** 2 / gaps[basis.M // 2:]))
     return {
@@ -383,9 +384,9 @@ def h_minus1_upper_bound(h: ConditionalDensity | np.ndarray, basis: SpectralBasi
 # dual lower bound
 # ---------------------------------------------------------------------------
 
-def kantorovich_dual_lower(m1: GridMeasure, m2: GridMeasure, f_init,
-                           f_nodes=None, n_search: int = 32769):
-    """Certified lower bound on W2^2 from one dual potential.
+def kantorovich_dual_lower(m1: GridMeasure, m2: GridMeasure, f_values, f_nodes):
+    """Certified lower bound on W2^2 from one dual potential, given by its
+    values at f_nodes and interpolated between them by PCHIP.
 
     The conjugate f^c(y) = inf_x {(x-y)^2/2 - f(x)} is evaluated by searching
     a dense x grid and subtracting the parabola-bound slack
@@ -395,18 +396,10 @@ def kantorovich_dual_lower(m1: GridMeasure, m2: GridMeasure, f_init,
     """
     lo = min(m1.support[0], m2.support[0])
     hi = max(m1.support[1], m2.support[1])
-    if callable(f_init):
-        f_fun = f_init
-        xs = np.linspace(lo, hi, n_search)
-        fx = f_fun(xs)
-        pp = PchipInterpolator(xs, fx)
-    else:
-        nodes = np.asarray(f_nodes if f_nodes is not None else m1.nodes, dtype=float)
-        vals = np.asarray(f_init, dtype=float)
-        pp = PchipInterpolator(nodes, vals)
-        xs = np.linspace(max(lo, nodes[0]), min(hi, nodes[-1]), n_search)
-        fx = pp(xs)
-        f_fun = pp
+    nodes = np.asarray(f_nodes, dtype=float)
+    pp = PchipInterpolator(nodes, np.asarray(f_values, dtype=float))
+    xs = np.linspace(max(lo, nodes[0]), min(hi, nodes[-1]), DUAL_SEARCH)
+    fx = pp(xs)
     if not np.all(np.isfinite(fx)):
         raise TransportError("dual potential must be bounded on the grid")
     dx = xs[1] - xs[0]
@@ -422,7 +415,7 @@ def kantorovich_dual_lower(m1: GridMeasure, m2: GridMeasure, f_init,
         fc[i0:i0 + block] = g.min(axis=1)
     fc -= slack
 
-    int_f = m1.expectation(np.asarray(f_fun(m1.nodes), dtype=float))
+    int_f = m1.expectation(pp(m1.nodes))
     int_fc = m2.expectation(fc)
     raw = 2.0 * (int_f + int_fc)
     return {

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from condemp.cli import main as cli_main
-from condemp.harness import (ConfigError, ExperimentConfig, mu0_measure,
+from condemp.harness import (ConfigError, ExperimentConfig, limit_report, mu0_measure,
                              run_convergence, run_mc_crosscheck, run_sandwich)
 from condemp.limits import LimitError
 
@@ -46,9 +46,12 @@ def test_unknown_version_rejected(tmp_path):
 
 
 def test_times_must_increase(tmp_path):
-    path = write_config(tmp_path, times=[2.0, 1.0])
-    with pytest.raises(ConfigError, match="strictly increasing"):
-        ExperimentConfig.load(path)
+    for times, match in (([2.0, 1.0], "strictly increasing"),
+                         ([], "nonempty list of positive times"),
+                         ([-1.0, 2.0], "nonempty list of positive times")):
+        path = write_config(tmp_path, times=times)
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig.load(path)
 
 
 def test_missing_file_rejected(tmp_path):
@@ -160,6 +163,18 @@ def test_single_mode_limit_asks_for_more_modes(tmp_path, capsys):
         run_convergence(ExperimentConfig.load(cfg_path))
     assert run_cli("limit", "--config", str(cfg_path), "--out", str(tmp_path / "res")) == 2
     assert "raise the mode count" in capsys.readouterr().err
+
+
+def test_rectangle_limit_at_24_modes(tmp_path):
+    # the Bessel budgets subtract every retained mode, the ground mode too:
+    # at 24 modes the tail meets the default tol and covers the 96-mode value
+    cfg_path = write_config(tmp_path, domain=RECTANGLE, modes=24)
+    out = tmp_path / "res"
+    assert run_cli("limit", "--config", str(cfg_path), "--out", str(out)) == 0
+    doc = json.loads((out / "limit.json").read_text())
+    cfg = ExperimentConfig.load(cfg_path)
+    cfg.modes = 96
+    assert abs(limit_report(cfg, cfg.build_basis()).I_value - doc["I_value"]) <= doc["tail_bound"]
 
 
 @pytest.mark.parametrize("overrides", [

@@ -54,6 +54,36 @@ def test_rectangle_tensor_basis():
     assert abs(basis.weyl_slope() - 1.0) <= 0.15 * 1.0
 
 
+@pytest.mark.parametrize("boundary", [DIRICHLET, NEUMANN])
+def test_rectangle_modes_are_products_of_interval_modes(boundary):
+    a, b, c, d = -0.5, 1.0, 0.25, 0.75
+    rect = build_analytic_basis(rectangle(a, b, c, d, boundary=boundary), 40)
+    kmax = int(rect.mode_indices.max())
+    x_axis = build_analytic_basis(Domain("interval", (a, b), boundary), kmax + 1)
+    y_axis = build_analytic_basis(Domain("interval", (c, d), boundary), kmax + 1)
+    xs = np.concatenate([[a, b], np.linspace(a, b, 11)])
+    ys = np.concatenate([[c, d], np.linspace(c, d, 7)])
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    pts = np.column_stack([X.ravel(), Y.ravel()])
+    # interval mode m has axis index m + 1 (Dirichlet) or m (Neumann)
+    shift = 1 if boundary == DIRICHLET else 0
+    i, j = (rect.mode_indices - shift).T
+    np.testing.assert_array_equal(
+        rect.eval_modes(pts), x_axis.eval_modes(pts[:, 0])[i] * y_axis.eval_modes(pts[:, 1])[j])
+    np.testing.assert_array_equal(
+        rect.eval_ratio(pts), x_axis.eval_ratio(pts[:, 0])[i] * y_axis.eval_ratio(pts[:, 1])[j])
+
+
+def test_mode_table_thin_rectangle():
+    # the 24 lowest modes of a 10:1 rectangle reach index 18 on the long
+    # axis, beyond a box of 2 sqrt(24) indices per axis
+    basis = build_analytic_basis(rectangle(0.0, 1.0, 0.0, 0.1), 24)
+    i, j = np.meshgrid(np.arange(1, 41), np.arange(1, 41), indexing="ij")
+    lam = np.sort((PI2 * (i**2 + 100.0 * j**2)).ravel())[:24]
+    np.testing.assert_allclose(basis.eigenvalues, lam, rtol=1e-14)
+    assert basis.mode_indices[:, 0].max() == 18
+
+
 def test_weyl_slope_interval(dirichlet_basis_64, neumann_basis_64):
     assert abs(dirichlet_basis_64.weyl_slope() - 2.0) <= 0.15 * 2.0
     assert abs(neumann_basis_64.weyl_slope() - 2.0) <= 0.15 * 2.0
@@ -192,13 +222,21 @@ def test_growth_report_needs_modes():
 # ---------------------------------------------------------------------------
 
 def test_basis_roundtrip(tmp_path, dirichlet_basis_64):
+    rect = build_analytic_basis(rectangle(0.0, 1.0, 0.0, 0.5, boundary=NEUMANN), 24)
+    # files written before the mode indices were derived still carry them
+    legacy = dict(rect.to_dict(), mode_indices=rect.mode_indices.tolist())
     path = tmp_path / "basis.json"
-    dirichlet_basis_64.save(path)
-    loaded = SpectralBasis.load(path)
-    assert np.array_equal(loaded.eigenvalues, dirichlet_basis_64.eigenvalues)
-    assert np.array_equal(loaded.grid, dirichlet_basis_64.grid)
-    assert np.array_equal(loaded.eigenfunctions, dirichlet_basis_64.eigenfunctions)
-    assert np.array_equal(loaded.weights, dirichlet_basis_64.weights)
+    for basis, doc in ((dirichlet_basis_64, None), (rect, None), (rect, legacy)):
+        if doc is None:
+            basis.save(path)
+        else:
+            path.write_text(json.dumps(doc))
+        loaded = SpectralBasis.load(path)
+        assert np.array_equal(loaded.eigenvalues, basis.eigenvalues)
+        assert np.array_equal(loaded.grid, basis.grid)
+        assert np.array_equal(loaded.eigenfunctions, basis.eigenfunctions)
+        assert np.array_equal(loaded.weights, basis.weights)
+        assert np.array_equal(loaded.eval_ratio(basis.grid[:5]), basis.eval_ratio(basis.grid[:5]))
 
 
 def test_basis_rejects_unknown_schema(tmp_path, dirichlet_basis_64):
