@@ -90,11 +90,9 @@ class PathEnsembleSummary:
         masses = self.histogram * np.diff(self.bin_edges)
         return GridMeasure.from_histogram(self.bin_edges, masses, name="mc-occupation")
 
-    def final_measure(self, n_bins: int | None = None) -> GridMeasure:
-        edges = self.bin_edges if n_bins is None else np.linspace(
-            self.bin_edges[0], self.bin_edges[-1], n_bins + 1)
-        hist, _ = np.histogram(self.final_positions, bins=edges)
-        return GridMeasure.from_histogram(edges, hist.astype(float), name="mc-final")
+    def final_measure(self) -> GridMeasure:
+        hist, _ = np.histogram(self.final_positions, bins=self.bin_edges)
+        return GridMeasure.from_histogram(self.bin_edges, hist.astype(float), name="mc-final")
 
 
 def _rng_for(seed: int, block: int) -> np.random.Generator:
@@ -111,17 +109,10 @@ def _sample_initial(dist: InitialDistribution, domain: Domain, rng, n: int) -> n
             raise SimulationError("point mass outside the domain")
         return np.full(n, x0)
     grid = np.linspace(a, b, 2049)
+    dens = dist.density_on(grid)
     if dist.kind == "density_mu":
-        h = dist.density_on(grid)
-        V = domain.potential_values(grid)
-        leb = np.exp(V)
-        leb /= np.trapezoid(leb, grid)
-        dens = np.maximum(h * leb, 0.0)
-    else:
-        dens = np.maximum(dist.density_on(grid), 0.0)
-    dens = dens / np.trapezoid(dens, grid)
-    gm = GridMeasure(grid, dens)
-    return gm.quantile(rng.random(n))
+        dens = dens * np.exp(domain.potential_values(grid))
+    return GridMeasure.normalized(grid, dens).quantile(rng.random(n))
 
 
 def _reflect(x: np.ndarray, a: float, b: float) -> np.ndarray:

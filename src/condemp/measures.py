@@ -1,9 +1,12 @@
 """Probability measures on model domains as grid data.
 
-GridMeasure is the workhorse for transport computations: a density sampled
-on an ascending node grid, with a monotone C^1 CDF built by integrating the
-shape-preserving (PCHIP) interpolant of the density.  Histogram measures get
-a piecewise-linear CDF instead, with closed-form quantiles.
+GridMeasure is the workhorse for transport computations: a Lebesgue density
+on an ascending node grid held as one piecewise polynomial, the
+shape-preserving (PCHIP) cubic interpolant of sampled values or, for
+histograms, the piecewise constant of per-cell values.  Its antiderivative
+is the monotone CDF.  Quantiles find their cell in the node CDF table and
+are inverted there: linear interpolation, exact on linear CDF pieces, then
+a bracketed Newton iteration on the cell's polynomial.
 
 InitialDistribution describes a starting law nu: a density against mu, an
 interior point mass, or a raw Lebesgue density on its own grid.
@@ -14,12 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import PchipInterpolator, PPoly
 
 __all__ = ["MeasureError", "GridMeasure", "InitialDistribution"]
 
 
 NEWTON_ITERS = 60      # cap on guarded Newton steps per quantile inversion
+EPS, TINY = np.finfo(float).eps, np.finfo(float).smallest_subnormal
 
 
 class MeasureError(ValueError):
@@ -85,14 +89,16 @@ class InitialDistribution:
 
 
 class GridMeasure:
-    """A probability measure on an interval given by a sampled density.
+    """A probability measure on an interval given by a piecewise polynomial
+    Lebesgue density.
 
     Parameters
     ----------
     nodes : ascending 1D grid (endpoints may be included).
     density : values of the Lebesgue density at the nodes.
-    histogram : if True the density is treated as piecewise constant on the
-        cells between nodes and the CDF is piecewise linear.
+    histogram : if True the density holds one value per cell between nodes
+        and is piecewise constant; otherwise it is the PCHIP interpolant of
+        the nodal values.
     """
 
     def __init__(self, nodes, density, histogram: bool = False, name: str = ""):
@@ -100,6 +106,8 @@ class GridMeasure:
         leb = np.array(density, dtype=float)
         if nodes.ndim != 1 or np.any(np.diff(nodes) <= 0):
             raise MeasureError("nodes must be strictly increasing 1D")
+        if leb.shape != (nodes.size - histogram,):
+            raise MeasureError("density needs one value per node (per cell for a histogram)")
         if np.min(leb) < -1e-12 * max(1.0, float(np.max(np.abs(leb)))):
             raise MeasureError(f"density negative beyond tolerance (min {np.min(leb):.3e})")
         leb = np.maximum(leb, 0.0)
@@ -108,22 +116,12 @@ class GridMeasure:
         self.histogram = histogram
         self.name = name
         self.lebesgue_density = leb
-
-        if histogram:
-            if leb.size != nodes.size - 1:
-                raise MeasureError("histogram needs one density value per cell")
-            cell_mass = leb * np.diff(nodes)
-            self._cdf_nodes = np.concatenate([[0.0], np.cumsum(cell_mass)])
-            self._mass = float(self._cdf_nodes[-1])
-        else:
-            self._pchip = PchipInterpolator(nodes, leb)
-            self._cdf_spline = self._pchip.antiderivative()
-            self._cdf_nodes = self._cdf_spline(nodes)
-            self._mass = float(self._cdf_nodes[-1])
-        if abs(self._mass - 1.0) > 1e-8:
+        self._pdf = PPoly(leb[None, :], nodes) if histogram else PchipInterpolator(nodes, leb)
+        self._cdf = self._pdf.antiderivative()
+        self._cdf_nodes = self._cdf(nodes)
+        self._mass = float(self._cdf_nodes[-1])
+        if not abs(self._mass - 1.0) <= 1e-8:      # NaN densities fail here too
             raise MeasureError(f"total mass {self._mass!r} differs from 1 beyond 1e-8")
-        if self._mass <= 0:
-            raise MeasureError("measure has no mass")
         # monotonicity guard for corrupt inputs
         if np.any(np.diff(self._cdf_nodes) < -1e-14):
             raise MeasureError("CDF not monotone (corrupt density input)")
@@ -136,51 +134,57 @@ class GridMeasure:
 
     def cdf(self, x) -> np.ndarray:
         """Normalized CDF values at x."""
-        x = np.asarray(x, dtype=float)
-        if self.histogram:
-            vals = np.interp(x, self.nodes, self._cdf_nodes)
-        else:
-            vals = self._cdf_spline(np.clip(x, self.nodes[0], self.nodes[-1]))
-        return np.clip(vals / self._mass, 0.0, 1.0)
+        return np.clip(self._cdf(np.clip(x, *self.support)) / self._mass, 0.0, 1.0)
 
     def pdf(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.histogram:
-            idx = np.clip(np.searchsorted(self.nodes, x, side="right") - 1,
-                          0, self.lebesgue_density.size - 1)
-            return self.lebesgue_density[idx] / self._mass
-        return np.maximum(self._pchip(np.clip(x, self.nodes[0], self.nodes[-1])), 0.0) / self._mass
+        return np.maximum(self._pdf(np.clip(x, *self.support)), 0.0) / self._mass
 
     def quantile(self, u) -> np.ndarray:
-        """Inverse CDF.  Smooth measures use Newton with a bisection guard."""
+        """Inverse CDF, inverted inside the cell that holds each level.
+
+        The start interpolates the node CDF table linearly inside the cell;
+        it is exact where the cell's CDF is linear (every histogram cell).
+        Elsewhere Newton on the cell's CDF polynomial, kept inside its
+        bracket by bisection, stops once the residual is within the rounding
+        of its Horner sum, or the Newton step or the bracket is a few ulps of
+        x.  Levels still open after NEWTON_ITERS steps raise MeasureError.
+        """
         u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
-        a, b = self.support
-        if self.histogram:
-            F = self._cdf_nodes / self._mass
-            # strictly increasing envelope for searchsorted on flat pieces
-            j = np.clip(np.searchsorted(F, u, side="left"), 1, F.size - 1)
-            F0, F1 = F[j - 1], F[j]
-            x0, x1 = self.nodes[j - 1], self.nodes[j]
-            frac = np.where(F1 > F0, (u - F0) / np.where(F1 > F0, F1 - F0, 1.0), 0.0)
-            return x0 + frac * (x1 - x0)
-        table_x = np.linspace(a, b, min(4097, 4 * self.nodes.size + 1))
-        table_f = self.cdf(table_x)
-        y = np.interp(u, table_f, table_x)
-        lo = np.full_like(y, a)
-        hi = np.full_like(y, b)
+        shape, u = u.shape, u.ravel()
+        F = self._cdf_nodes / self._mass
+        j = np.clip(np.searchsorted(F, u, side="left"), 1, F.size - 1)
+        F0, F1 = F[j - 1], F[j]
+        x0, x1 = self.nodes[j - 1], self.nodes[j]
+        s = np.where(F1 > F0, (u - F0) / np.where(F1 > F0, F1 - F0, 1.0), 0.0) * (x1 - x0)
+
+        # Newton in the cell-local variable s = x - x0, on nonlinear cells
+        coef = self._cdf.c[:, j - 1]
+        target = u * self._mass
+        lo, hi = np.zeros_like(s), x1 - x0
+        open_ = np.flatnonzero(np.any(coef[:-2] != 0, axis=0))
         for _ in range(NEWTON_ITERS):
-            f = self.cdf(y) - u
-            lo = np.where(f <= 0, y, lo)
-            hi = np.where(f > 0, y, hi)
-            d = self.pdf(y)
-            step = np.where(d > 1e-300, f / np.maximum(d, 1e-300), 0.0)
-            y_new = y - step
-            bad = (y_new <= lo) | (y_new >= hi) | (d <= 1e-300)
-            y_new = np.where(bad, 0.5 * (lo + hi), y_new)
-            if np.max(np.abs(y_new - y)) < 1e-15 * (b - a):
-                return np.clip(y_new, a, b)
-            y = y_new
-        return np.clip(y, a, b)
+            if open_.size == 0:
+                return np.minimum(x0 + s, x1).reshape(shape)
+            c, t, si = coef[:, open_], target[open_], s[open_]
+            tol = 2 * EPS * (np.abs(x0[open_]) + si) + TINY    # a few ulps of x and s
+            g, dg, size = c[0], np.zeros_like(si), np.abs(c[0])   # size: Horner sum of |terms|
+            for ck in c[1:]:
+                dg = dg * si + g
+                g = g * si + ck
+                size = size * si + np.abs(ck)
+            g = g - t
+            lo_i = np.where(g < 0, si, lo[open_])
+            hi_i = np.where(g > 0, si, hi[open_])
+            done = ((np.abs(g) <= 0.5 * EPS * (size + t) + TINY) | (np.abs(g) <= tol * dg)
+                    | (hi_i - lo_i <= tol))
+            s_new = si - g / np.where(dg > 0, dg, 1.0)
+            inside = (dg > 0) & (s_new > lo_i) & (s_new < hi_i)
+            s_new = np.where(inside, s_new, 0.5 * (lo_i + hi_i))
+            keep = ~done
+            open_ = open_[keep]
+            s[open_], lo[open_], hi[open_] = s_new[keep], lo_i[keep], hi_i[keep]
+        raise MeasureError(f"quantile inversion left {open_.size} levels unconverged "
+                           f"after {NEWTON_ITERS} Newton steps")
 
     # ---- integration and atomization -----------------------------------
 

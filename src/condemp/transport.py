@@ -43,6 +43,7 @@ W1_NODES = 4097           # CDF-gap grid of w1_grid_1d
 ENTROPIC_MAX_NODES = 4096  # atoms per side the entropic route accepts
 BOUNDARY_STRIP = 1e-3      # width of the strip h_minus1_upper_bound reports apart
 DUAL_SEARCH = 32769        # search nodes of the conjugate in the dual lower bound
+FINAL_SWEEPS = 1200        # Sinkhorn sweeps allowed at the final epsilon level
 
 
 class TransportError(ValueError):
@@ -112,9 +113,10 @@ def w2_quantile_1d(m1: GridMeasure, m2: GridMeasure,
                    n_quantiles: int = 100_000) -> TransportResult:
     """W2 via the monotone coupling: the integral of the squared quantile gap.
 
-    Both quantile functions are obtained by Newton inversion of the monotone
-    CDFs on a shared composite Gauss grid in the quantile variable.  The
-    error estimate compares against the half-resolution value.
+    Both quantile functions are evaluated on a shared composite Gauss grid
+    in the quantile variable, each level inverted inside its own cell of the
+    measure's piecewise-polynomial CDF (`GridMeasure.quantile`).  The error
+    estimate compares against the half-resolution value.
     """
     for m in (m1, m2):
         if np.any(np.diff(m.cdf(m.nodes)) < -1e-12):
@@ -215,15 +217,11 @@ def atomization_error(w2_squared: float, width: float) -> float:
 # entropic route
 # ---------------------------------------------------------------------------
 
-def _sinkhorn_potentials(loga, logb, C, eps, f=None, g=None,
-                         max_iter=300, drift_tol=None, symmetric=False):
+def _sinkhorn_potentials(loga, logb, C, eps, f, g, max_iter, drift_tol, symmetric):
+    """Log-domain Sinkhorn sweeps until the potential drift is below
+    drift_tol; returns the potentials, the sweep count and the last drift."""
     if f is None:
-        f = np.zeros(loga.size)
-    if g is None:
-        g = np.zeros(logb.size)
-    if drift_tol is None:
-        drift_tol = 1e-3 * eps
-    it = 0
+        f, g = np.zeros(loga.size), np.zeros(logb.size)
     for it in range(1, max_iter + 1):
         if symmetric:
             # self-transport: averaged update is a contraction to f = g
@@ -238,7 +236,7 @@ def _sinkhorn_potentials(loga, logb, C, eps, f=None, g=None,
             f, g = f_new, g_new
         if drift < drift_tol:
             break
-    return f, g, it
+    return f, g, it, drift
 
 
 def _ot_eps(a, b, C, eps_schedule, final_drift, symmetric=False):
@@ -246,7 +244,8 @@ def _ot_eps(a, b, C, eps_schedule, final_drift, symmetric=False):
 
     Returns the cost at the final level, the cost at the penultimate level
     (for a bias estimate), the dual value, the worst marginal violation, the
-    plan, and the iteration count.
+    plan, and the iteration count.  The earlier levels only warm-start the
+    last one, which must reach `final_drift` within FINAL_SWEEPS sweeps.
     """
     loga = np.log(a)
     logb = np.log(b)
@@ -255,12 +254,15 @@ def _ot_eps(a, b, C, eps_schedule, final_drift, symmetric=False):
     cost_prev = None
     for k, eps in enumerate(eps_schedule):
         last = k == len(eps_schedule) - 1
-        f, g, n = _sinkhorn_potentials(
+        f, g, n, drift = _sinkhorn_potentials(
             loga, logb, C, eps, f, g,
-            max_iter=1200 if last else 60,
+            max_iter=FINAL_SWEEPS if last else 60,
             drift_tol=final_drift if last else 1e-2 * eps,
             symmetric=symmetric)
         iters += n
+        if last and drift >= final_drift:
+            raise TransportError(f"Sinkhorn did not converge at eps {eps:.3g}: potential "
+                                 f"drift {drift:.3g} after {n} sweeps (target {final_drift:.3g})")
         if k == len(eps_schedule) - 2:
             logP = (f[:, None] + g[None, :] - C) / eps + loga[:, None] + logb[None, :]
             cost_prev = float(np.sum(np.exp(logP) * C))

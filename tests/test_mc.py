@@ -52,6 +52,19 @@ def test_block_boundary_determinism():
     assert np.array_equal(alive_a, alive_b)
 
 
+def test_tabulated_density_start():
+    # 3x^2 against mu on 65 nodes: its interpolated mass is 1 - 1.2e-7, so
+    # the start law must be normalized once, by the measure itself
+    from condemp.mc import _rng_for, _sample_initial
+    x = np.linspace(0.0, 1.0, 65)
+    nu = InitialDistribution(kind="density_mu", density=3 * x**2, nodes=x, name="3x^2")
+    start = _sample_initial(nu, unit_interval(), _rng_for(4242, 0), 20_000)
+    se = start.std(ddof=1) / np.sqrt(start.size)
+    assert abs(start.mean() - 0.75) <= 3 * se
+    sim = simulate(kill_config(initial=nu, n_paths=4000))
+    assert sim.survival_count > 0
+
+
 def test_survival_matches_spectral():
     basis = build_analytic_basis(unit_interval(), 128)
     mu_c = mu_coefficients(basis)

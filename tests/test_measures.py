@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condemp.measures import GridMeasure, InitialDistribution, MeasureError
 
@@ -15,6 +17,8 @@ def test_mass_validation():
         GridMeasure(x, 1.5 * np.ones(65))
     with pytest.raises(MeasureError):
         GridMeasure(x, -np.ones(65))
+    with pytest.raises(MeasureError):
+        GridMeasure.from_histogram(x, np.full(64, np.nan))
 
 
 def test_uniform_quantile_is_identity():
@@ -38,7 +42,7 @@ def test_quantile_inverts_cdf():
     x = np.linspace(0, 1, 1025)
     dens = 2.0 * np.sin(np.pi * x) ** 2
     gm = GridMeasure(x, dens)
-    u = np.linspace(1e-6, 1 - 1e-6, 333)
+    u = np.concatenate([np.linspace(1e-6, 1 - 1e-6, 333), [1e-10, 1 - 1e-10]])
     q = gm.quantile(u)
     assert np.max(np.abs(gm.cdf(q) - u)) <= 1e-12
 
@@ -50,6 +54,68 @@ def test_histogram_quantile_closed_form():
     # mass gap: quantiles jump across the empty cell
     assert gm.quantile(0.5 + 1e-9) >= 0.5
     assert gm.quantile(0.75) == pytest.approx(0.75)
+
+
+# random measures: cells or node spacings, and levels that include 0, 1,
+# the far tails and every node of the CDF table
+widths = st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=40)
+levels = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50)
+
+
+def _levels(gm, u):
+    F = gm.cdf(gm.nodes)
+    return np.sort(np.concatenate([u, [0.0, 1.0, 1e-10, 1 - 1e-10], F,
+                                   np.nextafter(F, 1.0), np.nextafter(F, 0.0)]))
+
+
+def _assert_inverts(gm, u, q):
+    """F(q) is u up to a few ulps of u, plus what one ulp of q moves F by,
+    plus the rounding of F's cell polynomial at q (the eps-weighted sum of
+    its absolute terms, large where the terms cancel); and q is
+    nondecreasing wherever the levels are further apart than that."""
+    d = np.maximum(gm.pdf(q), gm.pdf(np.nextafter(q, -np.inf)))
+    j = np.clip(np.searchsorted(gm.nodes, q, side="right") - 1, 0, gm.nodes.size - 2)
+    s, size = q - gm.nodes[j], 0.0
+    for c in np.abs(gm._cdf.c[:, j]):
+        size = size * s + c
+    band = 8 * (np.spacing(u) + d * np.abs(np.spacing(q)) + np.spacing(size / gm._mass))
+    assert np.all(np.abs(gm.cdf(q) - u) <= band)
+    resolved = np.diff(u) > band[:-1] + band[1:]
+    assert np.all(np.diff(q)[resolved] >= 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(w=widths, start=st.floats(-5.0, 5.0), data=st.data(), u=levels)
+def test_histogram_quantile_random(w, start, data, u):
+    edges = start + np.concatenate([[0.0], np.cumsum(w)])
+    masses = np.array(data.draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-8, 1e3)),
+                                         min_size=len(w), max_size=len(w))))
+    if masses.sum() <= 0:
+        masses[-1] = 1.0
+    gm = GridMeasure.from_histogram(edges, masses)
+    u = _levels(gm, np.array(u))
+    q = gm.quantile(u)
+    # closed form: linear interpolation of the cumulative cell masses
+    F = np.concatenate([[0.0], np.cumsum(gm.lebesgue_density * np.diff(edges))])
+    F = F / F[-1]
+    j = np.clip(np.searchsorted(F, u, side="left"), 1, F.size - 1)
+    F0, F1 = F[j - 1], F[j]
+    frac = np.where(F1 > F0, (u - F0) / np.where(F1 > F0, F1 - F0, 1.0), 0.0)
+    np.testing.assert_array_equal(
+        q, np.minimum(edges[j - 1] + frac * (edges[j] - edges[j - 1]), edges[j]))
+    _assert_inverts(gm, u, q)
+    assert np.all(np.diff(q) >= 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 200), lo=st.floats(-5.0, 5.0), width=st.floats(1e-2, 10.0),
+       data=st.data(), u=levels)
+def test_sampled_density_quantile_random(n, lo, width, data, u):
+    x = np.linspace(lo, lo + width, n)
+    dens = np.array(data.draw(st.lists(st.floats(1e-6, 1e3), min_size=n, max_size=n)))
+    gm = GridMeasure.normalized(x, dens)
+    u = _levels(gm, np.array(u))
+    _assert_inverts(gm, u, gm.quantile(u))
 
 
 def test_expectation_simpson():

@@ -141,6 +141,17 @@ def test_entropic_matches_quantile_1d():
     assert abs(ent.w2_squared - quant.w2_squared) <= ent.error_estimate
 
 
+@pytest.mark.parametrize("center", [0.8, 0.3])
+def test_entropic_reports_nonconvergence(center):
+    # wide bumps on 200 nodes at eps 1e-4: the last epsilon level needs more
+    # sweeps than it is allowed, and the route must say so
+    x = np.linspace(0.0, 1.0, 200)
+    b1 = np.exp(-0.5 * ((x - 0.2) / 0.2) ** 2)
+    b2 = np.exp(-0.5 * ((x - center) / 0.2) ** 2)
+    with pytest.raises(TransportError, match="did not converge"):
+        w2_entropic((x, b1), (x, b2), eps_target=1e-4)
+
+
 def test_entropic_tensorization_rectangle():
     # product measures: squared distance adds over axes
     mx1, my1 = bump(0.3, 0.08, 513), bump(0.5, 0.1, 513)
