@@ -145,9 +145,12 @@ class GridMeasure:
         The start interpolates the node CDF table linearly inside the cell;
         it is exact where the cell's CDF is linear (every histogram cell).
         Elsewhere Newton on the cell's CDF polynomial, kept inside its
-        bracket by bisection, stops once the residual is within the rounding
-        of its Horner sum, or the Newton step or the bracket is a few ulps of
-        x.  Levels still open after NEWTON_ITERS steps raise MeasureError.
+        bracket by bisection, starts there (or, for levels deep in a cell
+        whose density vanishes at its left node, at the root of the
+        polynomial's lowest-order term) and stops once the residual is
+        within the rounding of its Horner sum, or the Newton step or the
+        bracket is a few ulps of x.  Levels still open after NEWTON_ITERS
+        steps raise MeasureError.
         """
         u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
         shape, u = u.shape, u.ravel()
@@ -162,6 +165,20 @@ class GridMeasure:
         target = u * self._mass
         lo, hi = np.zeros_like(s), x1 - x0
         open_ = np.flatnonzero(np.any(coef[:-2] != 0, axis=0))
+        # Where the density vanishes at x0 the cell's CDF starts as c_k s^k,
+        # k >= 2.  A level far below the cell's mass then has its root far
+        # above the linear start and far below the cell width, and the
+        # guarded Newton closes in on it only geometrically.  Levels whose
+        # linear start lies below sqrt(EPS) times the root s0 of that
+        # lowest-order term start from s0 instead.
+        v = open_[coef[-2, open_] == 0]
+        low = coef[-2::-1, v]                      # orders 1 .. 4
+        k = np.argmax(low != 0, axis=0)
+        ck = low[k, np.arange(v.size)]
+        s0 = (np.maximum(target[v] - coef[-1, v], 0.0)
+              / np.where(ck > 0, ck, np.inf)) ** (1.0 / (k + 1))
+        far = s[v] < np.sqrt(EPS) * s0
+        s[v[far]] = np.minimum(s0[far], hi[v[far]])
         for _ in range(NEWTON_ITERS):
             if open_.size == 0:
                 return np.minimum(x0 + s, x1).reshape(shape)

@@ -118,6 +118,20 @@ def test_sampled_density_quantile_random(n, lo, width, data, u):
     _assert_inverts(gm, u, gm.quantile(u))
 
 
+@pytest.mark.parametrize("shape", [lambda x: np.sin(np.pi * x),
+                                   lambda x: np.sin(np.pi * x) ** 2,
+                                   lambda x: x**6], ids=["sin", "sin2", "x6"])
+def test_quantile_deep_tail(shape):
+    # the density vanishes at the left node, so the first cell's CDF starts
+    # as c_k s^k and these levels have roots many decades below the cell
+    x = np.linspace(0.0, 1.0, 8193)
+    gm = GridMeasure.normalized(x, shape(x))
+    u = np.array([1e-300, 1e-200, 1e-100, 1e-50, 1e-30, 1e-16])
+    q = gm.quantile(u)
+    assert np.all(np.diff(q) >= 0)
+    _assert_inverts(gm, u, q)
+
+
 def test_expectation_simpson():
     x = np.linspace(0, 1, 513)
     gm = GridMeasure(x, 2.0 * np.sin(np.pi * x) ** 2)
