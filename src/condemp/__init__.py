@@ -11,7 +11,7 @@ from .semigroup import (ConditionalDensity, SeriesTruncation, apply_dirichlet_se
                         mean_empirical_density, psi_s_nu, rho_tilde,
                         survival_probability, time_shift)
 from .spectral import (SpectralBasis, build_analytic_basis, mu_coefficients, project,
-                       solve_sturm_liouville, sup_norm_growth_report)
+                       solve_sturm_liouville)
 from .transport import (TransportResult, h_minus1_upper_bound, kantorovich_dual_lower,
                         logarithmic_mean, w1_grid_1d, w2_entropic,
                         w2_exact_discrete, w2_quantile_1d)

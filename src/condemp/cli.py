@@ -8,6 +8,7 @@ override the corresponding config entries.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -28,15 +29,9 @@ def _add_common(p: argparse.ArgumentParser):
 
 
 def _load(args) -> ExperimentConfig:
-    cfg = ExperimentConfig.load(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.out = args.out
-    if args.modes is not None:
-        cfg.modes = args.modes
-    if args.tol is not None:
-        cfg.tol = args.tol
+    overrides = {key: getattr(args, key) for key in ("seed", "out", "modes", "tol")
+                 if getattr(args, key) is not None}
+    cfg = dataclasses.replace(ExperimentConfig.load(args.config), **overrides)
     if cfg.out is None:
         cfg.out = "results"
     os.makedirs(cfg.out, exist_ok=True)

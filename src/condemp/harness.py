@@ -43,7 +43,7 @@ _ALLOWED_MC_KEYS = {
     "horizon", "slope_times",
 }
 W2_METHODS = ("quantile1d", "exact-discrete", "entropic")
-EXACT_ATOMS = 384      # atoms per side of the exact LP route
+EXACT_ATOMS = 384      # atoms per side of the exact monotone-coupling route
 
 
 class ConfigError(ValueError):
@@ -65,6 +65,15 @@ class ExperimentConfig:
     mc: dict = field(default_factory=dict)
     seed: int = 20240915
     out: str | None = None
+
+    def __post_init__(self):
+        # also runs on dataclasses.replace, which the CLI overrides go through
+        if self.modes < 1:
+            raise ConfigError(f"modes must be at least 1, got {self.modes}")
+        if self.grid_nodes < 2:
+            raise ConfigError(f"grid_nodes must be at least 2, got {self.grid_nodes}")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError(f"tol must be finite and positive, got {self.tol}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -186,13 +195,13 @@ def mean_occupation_measure(nu_c, basis: SpectralBasis, t: float,
 def w2_by_method(method: str, m1: GridMeasure, m2: GridMeasure,
                  n_quantiles: int):
     """W2 between two grid measures by the named route.  The exact route
-    declares its atomization error on top of the LP's own."""
+    declares its atomization error on top of its certificate's own."""
     if method == "quantile1d":
         return w2_quantile_1d(m1, m2, n_quantiles=n_quantiles)
     if method == "exact-discrete":
         x1, a1 = m1.atomize(EXACT_ATOMS)
         x2, a2 = m2.atomize(EXACT_ATOMS)
-        res = w2_exact_discrete(x1, a1, x2, a2, keep_plan=False)
+        res = w2_exact_discrete(x1, a1, x2, a2)
         width = max(m1.support[1] - m1.support[0], m2.support[1] - m2.support[0]) / EXACT_ATOMS
         res.error_estimate += atomization_error(res.w2_squared, width)
         return res

@@ -27,7 +27,7 @@ from .measures import GridMeasure, InitialDistribution
 from .transport import TransportResult, w2_quantile_1d
 
 __all__ = ["SimulationError", "SimulationConfig", "PathEnsembleSummary",
-           "simulate", "conditional_empirical_w2", "export_ensemble_csv"]
+           "simulate", "conditional_empirical_w2"]
 
 BLOCK = 16384      # fixed stream-block size; never tied to worker count
 EMPIRICAL_QUANTILES = 20000   # quantile nodes of the conditional empirical W2
@@ -321,15 +321,3 @@ def conditional_empirical_w2(summary: PathEnsembleSummary, reference: GridMeasur
                              details={"bootstrap_se": se,
                                       "bootstrap_mean": float(vals.mean())})
     return result, se
-
-
-def export_ensemble_csv(summary: PathEnsembleSummary, path):
-    cfg = summary.config
-    centers = 0.5 * (summary.bin_edges[:-1] + summary.bin_edges[1:])
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# boundary={cfg.boundary_rule} resample={cfg.resample} "
-                 f"dt={cfg.dt!r} horizon={cfg.horizon!r} n_paths={cfg.n_paths} "
-                 f"seed={cfg.seed} initial={cfg.initial.label()}\n")
-        fh.write("bin_center,conditional_density,stderr\n")
-        for c, h, s in zip(centers, summary.histogram, summary.stderr):
-            fh.write(f"{c!r},{h!r},{s!r}\n")

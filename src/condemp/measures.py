@@ -246,7 +246,7 @@ class GridMeasure:
         if total <= 0:
             raise MeasureError("atomization produced no mass")
         masses = masses / total
-        # negligible atoms destabilize downstream LP scaling
+        # negligible atoms (below 1e-14 of the mass) are dropped
         keep = masses > 1e-14
         masses = masses[keep]
         return centroids[keep], masses / masses.sum()

@@ -26,14 +26,12 @@ __all__ = [
     "BasisError",
     "ProjectionError",
     "SpectralBasis",
-    "GrowthReport",
     "build_analytic_basis",
     "solve_sturm_liouville",
     "project",
     "mu_coefficients",
     "nu_l2_budget",
     "weyl_floor",
-    "sup_norm_growth_report",
     "gauss_legendre",
     "analytic_eigenvalues",
     "mode_table",
@@ -531,57 +529,3 @@ def nu_l2_budget(nu: InitialDistribution, basis: SpectralBasis) -> float | None:
         return None
     h = nu.density_on(basis.grid)
     return float(np.dot(h * h, basis.weights))
-
-
-# ---------------------------------------------------------------------------
-# growth diagnostics
-# ---------------------------------------------------------------------------
-
-@dataclass
-class GrowthReport:
-    sup_norms: np.ndarray
-    ratio_sups: np.ndarray
-    sup_exponent: float
-    ratio_exponent: float
-    ratio_bound_exponent: float
-    fitted_constant: float
-    violations: list
-
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def sup_norm_growth_report(basis: SpectralBasis) -> GrowthReport:
-    """Fit growth exponents of sup|phi_m| and sup|phi_m/phi_0|.
-
-    The ratio sups are checked against C m^{(d+2)/(2d)} with C fitted from
-    the data; modes exceeding the fitted envelope by more than 20% are
-    flagged.  Implied constants are empirical only.
-    """
-    if basis.M < 16:
-        raise BasisError("growth report needs at least 16 modes")
-    d = basis.domain.dim
-    m = np.arange(1, basis.M, dtype=float)
-    sup = basis.sup_norms[1:]
-    rat = basis.ratio_sups[1:]
-    lo = max(1, basis.M // 4)
-    window = slice(lo - 1, basis.M - 1)
-    sup_exp = float(np.polyfit(np.log(m[window]), np.log(sup[window]), 1)[0])
-    ratio_exp = float(np.polyfit(np.log(m[window]), np.log(rat[window]), 1)[0])
-    bound_exp = (d + 2.0) / (2.0 * d)
-    # envelope constants checked leave-one-out on the asymptotic window, so
-    # a smooth family never self-certifies but a gross outlier is caught
-    r = rat[window] / m[window] ** bound_exp
-    order = np.argsort(r)
-    top1 = r[order[-1]]
-    top2 = r[order[-2]] if r.size > 1 else top1
-    bad = []
-    for idx in range(r.size):
-        ref = top2 if r[idx] == top1 else top1
-        if r[idx] > 1.2 * ref:
-            bad.append(int(lo + idx))
-    return GrowthReport(
-        sup_norms=basis.sup_norms.copy(), ratio_sups=basis.ratio_sups.copy(),
-        sup_exponent=sup_exp, ratio_exponent=ratio_exp,
-        ratio_bound_exponent=bound_exp, fitted_constant=float(top1),
-        violations=bad)

@@ -165,7 +165,7 @@ def test_criterion_5_cross_method_agreement():
         quant = w2_quantile_1d(m1, m2, n_quantiles=20_000)
         x1, a1 = m1.atomize(192)
         x2, a2 = m2.atomize(192)
-        exact = w2_exact_discrete(x1, a1, x2, a2, keep_plan=False)
+        exact = w2_exact_discrete(x1, a1, x2, a2)
         ent = w2_entropic(m1, m2, eps_target=2e-3, atoms=192)
         atom_tol = 2.0 * quant.w2 * (1.0 / 192) / np.sqrt(12.0) + (1.0 / 192) ** 2
         tol_xq = quant.error_estimate + exact.error_estimate + atom_tol

@@ -1,20 +1,16 @@
-"""Remaining operation surfaces: smoothed dual potentials, raw grid-density
-projection, growth-report flagging, the MC cross-check runner, and the
-mode-doubling stability of reported distances."""
+"""Remaining operation surfaces: raw grid-density projection, the MC
+cross-check runner, and the mode-doubling stability of reported
+distances."""
 
 import json
 
 import numpy as np
 import pytest
 
-from condemp import build_analytic_basis, mu_coefficients, project, unit_interval
+from condemp import project
 from condemp.cli import main as cli_main
 from condemp.harness import ExperimentConfig, run_convergence, run_mc_crosscheck
 from condemp.measures import GridMeasure, InitialDistribution
-from condemp.semigroup import conditional_density
-from condemp.spectral import sup_norm_growth_report
-from condemp.transport import (kantorovich_dual_lower, smoothed_dual_potential,
-                               w2_quantile_1d)
 
 
 def test_project_raw_grid_density(dirichlet_basis_64):
@@ -27,38 +23,6 @@ def test_project_raw_grid_density(dirichlet_basis_64):
                                       density=basis.ground_state**2,
                                       nodes=basis.grid), basis)
     assert np.max(np.abs(got - ref)) <= 1e-6
-
-
-def test_growth_report_flags_violations(dirichlet_basis_64):
-    import copy
-    basis = copy.copy(dirichlet_basis_64)
-    bad = dirichlet_basis_64.ratio_sups.copy()
-    bad[40] *= 10.0
-    basis.ratio_sups = bad
-    rep = sup_norm_growth_report(basis)
-    assert 40 in rep.violations
-    assert not rep.ok()
-
-
-def test_smoothed_dual_potential_feeds_certifier():
-    basis = build_analytic_basis(unit_interval(), 48)
-    nu = InitialDistribution.from_mu()
-    cd = conditional_density(nu, basis, 4.0)
-    from condemp.harness import mu0_measure, spectral_measure
-    mt = spectral_measure(cd, basis, 4097)
-    m0 = mu0_measure(basis, 4097)
-    quant = w2_quantile_1d(mt, m0, n_quantiles=50_000)
-    # start from the inverse-generator potential, smooth it through the kernel
-    from condemp.semigroup import rho_tilde
-    rt = rho_tilde(project(nu, basis), mu_coefficients(basis), basis, 4.0)
-    gaps = basis.gaps.copy()
-    gaps[0] = 1.0
-    f_grid = (rt.coeffs / gaps) @ basis.ground_ratio
-    smooth = smoothed_dual_potential(f_grid, basis, eps=1e-3, theta=1.0)
-    assert np.all(np.isfinite(smooth))
-    assert np.max(smooth) <= np.max(f_grid) + 1e-12   # soft-min never exceeds
-    out = kantorovich_dual_lower(mt, m0, smooth, f_nodes=basis.grid)
-    assert 0.0 <= out["lower_bound"] <= quant.w2_squared * (1 + 1e-6)
 
 
 def test_mc_crosscheck_runner(tmp_path):

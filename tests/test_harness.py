@@ -72,6 +72,26 @@ def test_unknown_w2_method_rejected(tmp_path):
     assert run_cli("w2", "--config", str(path), "--out", str(tmp_path / "res")) == 2
 
 
+@pytest.mark.parametrize("source, key, value", [
+    ("file", "modes", 0), ("file", "grid_nodes", 1), ("file", "tol", 0.0),
+    ("file", "tol", -1.0), ("cli", "modes", 0), ("cli", "tol", 0.0),
+    ("cli", "tol", -1.0), ("cli", "tol", float("nan")),
+])
+def test_bad_numbers_rejected_naming_the_key(tmp_path, capsys, source, key, value):
+    out = str(tmp_path / "res")
+    if source == "file":
+        path = write_config(tmp_path, **{key: value})
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.load(path)
+        assert run_cli("limit", "--config", str(path), "--out", out) == 2
+    else:
+        path = write_config(tmp_path)
+        assert run_cli("limit", "--config", str(path), "--out", out,
+                       f"--{key}", str(value)) == 2
+    assert f"error: {key} must be" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "limit.json"))
+
+
 RECTANGLE = {"kind": "rectangle", "bounds": [0.0, 1.0, 0.0, 0.5], "boundary": "dirichlet"}
 
 

@@ -6,7 +6,7 @@ from condemp import (build_analytic_basis, mu_coefficients, project,
 from condemp.domains import NEUMANN
 from condemp.measures import GridMeasure, InitialDistribution
 from condemp.mc import (SimulationConfig, SimulationError,
-                        conditional_empirical_w2, export_ensemble_csv, simulate)
+                        conditional_empirical_w2, simulate)
 from condemp.semigroup import survival_probability
 from condemp.transport import w1_grid_1d
 
@@ -140,16 +140,6 @@ def test_dt_halving_stability():
     tv = 0.5 * np.sum(np.abs(hists[0][0] - hists[1][0])) / hists[0][0].size * 1.0
     noise = 0.5 * np.sum(hists[0][1] + hists[1][1]) / hists[0][0].size
     assert tv <= 3.0 * noise
-
-
-def test_ensemble_csv(tmp_path):
-    sim = simulate(kill_config(n_paths=5_000, horizon=0.2))
-    path = tmp_path / "ensemble.csv"
-    export_ensemble_csv(sim, path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# boundary=kill")
-    assert lines[1] == "bin_center,conditional_density,stderr"
-    assert len(lines) == 2 + 256
 
 
 def test_neumann_mc_rescaled_distance_tracks_spectral():

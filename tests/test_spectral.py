@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from condemp import (build_analytic_basis, mu_coefficients, project,
-                     solve_sturm_liouville, sup_norm_growth_report,
-                     unit_interval)
+                     solve_sturm_liouville, unit_interval)
 from condemp.domains import DIRICHLET, NEUMANN, Domain, DomainError, Potential, rectangle
 from condemp.measures import InitialDistribution
 from condemp.spectral import BasisError, ProjectionError, SpectralBasis
@@ -196,25 +195,6 @@ def test_completeness_doubling():
         recon = coeffs @ basis.eigenfunctions
         residuals.append(np.sqrt(basis.integrate((recon - fv) ** 2)))
     assert all(r2 < r1 for r1, r2 in zip(residuals, residuals[1:]))
-
-
-# ---------------------------------------------------------------------------
-# growth report
-# ---------------------------------------------------------------------------
-
-def test_growth_report_dirichlet(dirichlet_basis_64):
-    rep = sup_norm_growth_report(dirichlet_basis_64)
-    assert np.allclose(rep.sup_norms, np.sqrt(2.0))
-    assert np.allclose(rep.ratio_sups, np.arange(1, 65))
-    assert rep.ratio_exponent == pytest.approx(1.0, abs=0.05)
-    assert rep.ratio_exponent <= rep.ratio_bound_exponent
-    assert abs(rep.sup_exponent) <= 0.05
-    assert rep.ok()
-
-
-def test_growth_report_needs_modes():
-    with pytest.raises(BasisError):
-        sup_norm_growth_report(build_analytic_basis(unit_interval(), 8))
 
 
 # ---------------------------------------------------------------------------

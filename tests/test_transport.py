@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import linprog
 
 from condemp import (build_analytic_basis, mu_coefficients, project,
                      unit_interval)
@@ -10,7 +12,7 @@ from condemp.measures import GridMeasure, InitialDistribution
 from condemp.semigroup import conditional_density, rho_tilde
 from condemp.transport import (DUAL_SEARCH, TransportError, h_minus1_upper_bound,
                                kantorovich_dual_lower, logarithmic_mean,
-                               export_plan_csv, w1_grid_1d, w2_entropic,
+                               w1_grid_1d, w2_entropic,
                                w2_exact_discrete, w2_quantile_1d)
 
 X = np.linspace(0.0, 1.0, 2049)
@@ -82,8 +84,7 @@ def test_exact_identical_atoms():
     x = np.linspace(0.1, 0.9, 32)
     w = np.full(32, 1.0 / 32)
     res = w2_exact_discrete(x, w, x, w)
-    assert res.w2 <= 1e-9
-    assert np.max(np.abs(res.plan - np.diag(w))) <= 1e-12
+    assert res.w2_squared == 0.0
 
 
 def test_exact_two_atom_forced_plan():
@@ -94,9 +95,25 @@ def test_exact_two_atom_forced_plan():
 def test_exact_mass_mismatch_rejected():
     with pytest.raises(TransportError):
         w2_exact_discrete([0.0, 1.0], [0.5, 0.6], [0.5], [1.0])
-    with pytest.raises(TransportError):
-        w2_exact_discrete(np.linspace(0, 1, 600), np.full(600, 1 / 600),
-                          [0.5], [1.0])
+    with pytest.raises(TransportError, match="mismatch"):
+        w2_exact_discrete([0.0, 1.0], [0.5, 0.5 + 1e-9], [0.5], [1.0])
+    with pytest.raises(TransportError, match="1D"):
+        w2_exact_discrete([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5], [0.5], [1.0])
+
+
+@pytest.mark.parametrize("support, weights, match", [
+    ([0.0, np.nan], [0.5, 0.5], "finite"),
+    ([0.0, np.inf], [0.5, 0.5], "finite"),
+    ([0.0, 1.0], [1.5, -0.5], "nonnegative"),
+    ([0.0, 1.0], [np.nan, 1.0], "finite"),
+    ([0.0, 1.0], [0.0, 0.0], "not all zero"),
+    ([0.0, 1.0], [1.0], "one weight per atom"),
+])
+def test_exact_rejects_invalid_atoms(support, weights, match):
+    with pytest.raises(TransportError, match=match):
+        w2_exact_discrete(support, weights, [0.5], [1.0])
+    with pytest.raises(TransportError, match=match):
+        w2_exact_discrete([0.5], [1.0], support, weights)
 
 
 def test_exact_matches_quantile_on_occupation():
@@ -107,20 +124,71 @@ def test_exact_matches_quantile_on_occupation():
     m0 = m0_of(basis, 4097)
     x1, a1 = mt.atomize(256)
     x2, a2 = m0.atomize(256)
-    exact = w2_exact_discrete(x1, a1, x2, a2, keep_plan=False)
+    exact = w2_exact_discrete(x1, a1, x2, a2)
     quant = w2_quantile_1d(mt, m0, n_quantiles=50_000)
     spacing = 1.0 / 256
     assert abs(exact.w2 - quant.w2) <= spacing
 
 
-def test_plan_export(tmp_path):
-    res = w2_exact_discrete([0.0, 1.0], [0.5, 0.5], [0.25, 0.75], [0.5, 0.5])
-    path = tmp_path / "plan.csv"
-    export_plan_csv(res.plan, path)
-    rows = path.read_text().splitlines()
-    assert rows[0] == "i,j,mass"
-    total = sum(float(r.split(",")[2]) for r in rows[1:])
-    assert total == pytest.approx(1.0, abs=1e-10)
+def _exact_lp_reference(x, a, y, b):
+    """The transportation linear program over the full N x M cost matrix,
+    by the HiGHS dual simplex; returns W2^2 and its declared error (the
+    duality gap plus the marginal residual times the squared diameter).
+    Presolve is off: with zero weights it can declare the program
+    infeasible over a mass mismatch of one rounding unit."""
+    a = np.asarray(a, dtype=float) / np.sum(a)
+    b = np.asarray(b, dtype=float) / np.sum(b)
+    n, m = a.size, b.size
+    C = (np.asarray(x, dtype=float)[:, None] - np.asarray(y, dtype=float)[None, :]) ** 2
+    rows = np.repeat(np.arange(n), m)
+    cols = np.arange(n * m)
+    data = np.ones(n * m)
+    A_eq = sparse.coo_matrix(
+        (np.concatenate([data, data]),
+         (np.concatenate([rows, n + np.tile(np.arange(m), n)]),
+          np.concatenate([cols, cols]))),
+        shape=(n + m, n * m))
+    res = linprog(C.ravel(), A_eq=A_eq.tocsr(), b_eq=np.concatenate([a, b]),
+                  bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10,
+                           "presolve": False})
+    assert res.status == 0, res.message
+    plan = res.x.reshape(n, m)
+    row_err = float(np.max(np.abs(plan.sum(axis=1) - a)))
+    col_err = float(np.max(np.abs(plan.sum(axis=0) - b)))
+    dual = float(np.dot(res.eqlin.marginals, np.concatenate([a, b])))
+    err = (abs(res.fun - dual) + (row_err + col_err) * float(np.max(C))
+           + 1e-14 * max(1.0, res.fun))
+    return max(float(res.fun), 0.0), err
+
+
+def _random_atoms(rng, n, lo, hi, zeros, repeats):
+    x = rng.uniform(lo, hi, n)
+    if repeats and n > 1:
+        x[rng.integers(0, n, repeats)] = x[rng.integers(0, n, repeats)]
+    w = rng.uniform(0.0, 1.0, n) ** 3
+    w[rng.integers(0, n, zeros)] = 0.0
+    if not w.sum() > 0:
+        w[0] = 1.0
+    return x, w / w.sum()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 160), m=st.integers(1, 160),
+       shift=st.sampled_from([0.0, 0.3, 1.5, -4.0]),
+       zeros=st.integers(0, 5), repeats=st.integers(0, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_exact_matches_lp_reference(n, m, shift, zeros, repeats, seed):
+    # unsorted atoms with repeated points and zero weights on both sides;
+    # a shift of 1.5 or -4 puts the supports apart
+    rng = np.random.default_rng(seed)
+    x, a = _random_atoms(rng, n, 0.0, 1.0, zeros, repeats)
+    y, b = _random_atoms(rng, m, shift, shift + rng.uniform(0.01, 2.0), zeros, repeats)
+    ref, ref_err = _exact_lp_reference(x, a, y, b)
+    res = w2_exact_discrete(x, a, y, b)
+    assert abs(res.w2_squared - ref) <= ref_err
+    assert res.details["dual_gap"] <= 1e-13 * max(1.0, res.w2_squared)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +232,7 @@ def test_entropic_zero_weights_finite_error():
 def test_entropic_zero_weights_error_covers_exact():
     x, a, b = _zero_weight_bumps()
     ent = w2_entropic((x, a), (x, b), eps_target=1e-4)
-    exact = w2_exact_discrete(x, a, x, b, keep_plan=False)
+    exact = w2_exact_discrete(x, a, x, b)
     assert abs(ent.w2_squared - exact.w2_squared) <= ent.error_estimate
 
 
@@ -248,8 +316,7 @@ def test_dual_lower_translated_bumps():
     m2 = bump(0.65, width=0.03)
     x = np.linspace(0, 1, 257)
     out = kantorovich_dual_lower(m1, m2, -0.3 * x, f_nodes=x)
-    exact = w2_exact_discrete(*m1.atomize(256), *m2.atomize(256),
-                              keep_plan=False)
+    exact = w2_exact_discrete(*m1.atomize(256), *m2.atomize(256))
     assert out["lower_bound"] <= exact.w2_squared + exact.error_estimate
     assert abs(out["lower_bound"] - 0.09) <= 0.05 * 0.09
 
@@ -347,7 +414,7 @@ def test_three_method_agreement(rng):
         quant = w2_quantile_1d(m1, m2, n_quantiles=20_000)
         x1, a1 = m1.atomize(192)
         x2, a2 = m2.atomize(192)
-        exact = w2_exact_discrete(x1, a1, x2, a2, keep_plan=False)
+        exact = w2_exact_discrete(x1, a1, x2, a2)
         ent = w2_entropic(m1, m2, eps_target=2e-3, atoms=192)
         tol_xq = quant.error_estimate + exact.error_estimate + 2 * 0.5 / 192
         assert abs(exact.w2_squared - quant.w2_squared) <= tol_xq
