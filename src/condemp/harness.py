@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -35,13 +36,11 @@ __all__ = ["ConfigError", "ExperimentConfig", "ConvergenceReport",
 CONFIG_VERSION = "1"
 
 _ALLOWED_KEYS = {
-    "version", "domain", "nu", "times", "modes", "modes_limit", "tol",
-    "w2_method", "n_quantiles", "grid_nodes", "sl_grid", "mc", "seed", "out",
+    "version", "domain", "nu", "times", "modes", "tol",
+    "w2_method", "n_quantiles", "grid_nodes", "mc", "seed", "out",
 }
-_ALLOWED_MC_KEYS = {
-    "dt", "n_paths", "islands", "resample", "n_bins", "checkpoints",
-    "horizon", "slope_times",
-}
+_ALLOWED_MC_KEYS = {"dt", "n_paths", "islands", "resample", "n_bins", "horizon", "slope_times"}
+_NU_FIELDS = {"mu": (), "mu0": (), "point": ("x",), "density_mu": ("values", "nodes")}
 W2_METHODS = ("quantile1d", "exact-discrete", "entropic")
 EXACT_ATOMS = 384      # atoms per side of the exact monotone-coupling route
 
@@ -56,12 +55,10 @@ class ExperimentConfig:
     nu_spec: dict
     times: list
     modes: int = 128
-    modes_limit: int | None = None
     tol: float = 1e-8
     w2_method: str = "quantile1d"
     n_quantiles: int = 100_000
     grid_nodes: int = 8193
-    sl_grid: int | None = None
     mc: dict = field(default_factory=dict)
     seed: int = 20240915
     out: str | None = None
@@ -74,6 +71,17 @@ class ExperimentConfig:
             raise ConfigError(f"grid_nodes must be at least 2, got {self.grid_nodes}")
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ConfigError(f"tol must be finite and positive, got {self.tol}")
+        # _quantile_grid floors smaller counts, and its comparison grid
+        # stops being half the main one
+        if self.n_quantiles < 4000:
+            raise ConfigError(f"n_quantiles must be at least 4000, got {self.n_quantiles}")
+        kind = self.nu_spec.get("kind", "mu") if isinstance(self.nu_spec, dict) else None
+        if kind not in _NU_FIELDS:
+            raise ConfigError(f"unknown nu kind {kind!r}; choose from {list(_NU_FIELDS)}")
+        missing = [k for k in _NU_FIELDS[kind] if k not in self.nu_spec]
+        if missing:
+            raise ConfigError(f"nu of kind {kind!r} needs {missing}")
+        _check_mc(self.mc)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -102,12 +110,10 @@ class ExperimentConfig:
             nu_spec=doc.get("nu", {"kind": "mu"}),
             times=times,
             modes=int(doc.get("modes", 128)),
-            modes_limit=int(doc["modes_limit"]) if "modes_limit" in doc else None,
             tol=float(doc.get("tol", 1e-8)),
             w2_method=w2_method,
             n_quantiles=int(doc.get("n_quantiles", 100_000)),
             grid_nodes=int(doc.get("grid_nodes", 8193)),
-            sl_grid=int(doc["sl_grid"]) if "sl_grid" in doc else None,
             mc=mc,
             seed=int(doc.get("seed", 20240915)),
             out=doc.get("out"),
@@ -123,8 +129,28 @@ class ExperimentConfig:
     def build_basis(self) -> SpectralBasis:
         if self.domain.potential is None:
             return build_analytic_basis(self.domain, self.modes)
-        n_grid = self.sl_grid or max(8 * self.modes, 2000)
-        return solve_sturm_liouville(self.domain, self.modes, n_grid)
+        return solve_sturm_liouville(self.domain, self.modes, max(8 * self.modes, 2000))
+
+
+def _check_mc(mc: dict):
+    """Reject MC values that would fail only mid-run, or run and mislead."""
+    def real(v):
+        return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+    for key in ("dt", "horizon"):
+        if key in mc and not (real(mc[key]) and np.isfinite(mc[key]) and mc[key] > 0):
+            raise ConfigError(f"mc.{key} must be finite and positive, got {mc[key]!r}")
+    # with one island every bootstrap resample is the same island
+    for key, least in (("n_paths", 1), ("n_bins", 1), ("islands", 2)):
+        v = mc.get(key)
+        if key in mc and not (real(v) and float(v).is_integer() and v >= least):
+            raise ConfigError(f"mc.{key} must be an integer of at least {least}, got {v!r}")
+    ts = mc.get("slope_times")
+    if "slope_times" in mc and not (
+            isinstance(ts, (list, tuple)) and ts and all(real(t) for t in ts)
+            and ts[0] > 0 and all(t2 > t1 for t1, t2 in zip(ts, ts[1:]))):
+        raise ConfigError("mc.slope_times must be a nonempty list of positive, "
+                          f"increasing times, got {ts!r}")
 
 
 def resolve_nu(spec: dict, basis: SpectralBasis) -> InitialDistribution:
@@ -150,10 +176,20 @@ def resolve_nu(spec: dict, basis: SpectralBasis) -> InitialDistribution:
 # ---------------------------------------------------------------------------
 
 def interval_basis(config: ExperimentConfig, command: str) -> SpectralBasis:
-    """The basis for commands whose measures live on a 1D fine grid."""
-    if config.domain.kind != "interval":
+    """The basis for commands whose measures live on a 1D fine grid.
+
+    Commands that evaluate the conditional density h_t also need the killed
+    case; both are checked before the basis is built.
+    """
+    dom = config.domain
+    if dom.kind != "interval":
         raise ConfigError(f"{command} needs an interval domain: its measures live on "
                           "a 1D grid (rectangles support basis, project and limit)")
+    if command in ("sandwich", "w2", "density") and dom.boundary != DIRICHLET:
+        raise ConfigError(f"{command} needs boundary 'dirichlet', got {dom.boundary!r}: "
+                          "it evaluates the conditional density of the killed case "
+                          "(reflecting configs support converge, mc, limit, basis "
+                          "and project)")
     return config.build_basis()
 
 
@@ -253,8 +289,8 @@ def limit_report(config: ExperimentConfig, basis: SpectralBasis) -> LimitReport:
 
     Killed case: the eigenseries with the nu L2 budget where nu has a density.
     Reflecting case: a point start on an interval without potential uses its
-    closed-form coefficients up to modes_limit (default max(modes, 2000));
-    any other start uses the projection onto the basis.
+    closed-form coefficients up to max(modes, 2000); any other start uses the
+    projection onto the basis.
     """
     nu = resolve_nu(config.nu_spec, basis)
     dom = config.domain
@@ -263,7 +299,7 @@ def limit_report(config: ExperimentConfig, basis: SpectralBasis) -> LimitReport:
                          tol=config.tol, d=dom.dim, nu_l2_bound=nu_l2_budget(nu, basis))
     tol = max(config.tol, 1e-9)
     if nu.kind == "point" and dom.potential is None and dom.kind == "interval":
-        M_I = config.modes_limit or max(config.modes, 2000)
+        M_I = max(config.modes, 2000)
         a, b = dom.bounds
         u = (float(config.nu_spec["x"]) - a) / (b - a)
         nu_c = np.sqrt(2.0) * np.cos(np.arange(M_I) * np.pi * u)
@@ -325,18 +361,16 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
 def run_sandwich(config: ExperimentConfig, t: float) -> dict:
     """One row: certified lower bound <= W2^2 <= weighted-H^-1 upper bound."""
     basis = interval_basis(config, "sandwich")
-    if basis.domain.boundary != DIRICHLET:
-        raise ConfigError("sandwich reports are for the killed case")
     nu = resolve_nu(config.nu_spec, basis)
     cd = conditional_density(nu, basis, t, target_tol=config.tol)
     mt = spectral_measure(cd, basis, config.grid_nodes)
     m0 = mu0_measure(basis, config.grid_nodes)
     res = w2_quantile_1d(mt, m0, n_quantiles=config.n_quantiles)
-    upper = h_minus1_upper_bound(cd, basis)
+    upper = h_minus1_upper_bound(cd.grid_values, basis)
 
     mu_c = mu_coefficients(basis)
     nu_c = project(nu, basis)
-    rt = rho_tilde(nu_c, mu_c, basis, cd.t_effective or t)
+    rt = rho_tilde(nu_c, mu_c, basis, t)
     gaps = basis.gaps.copy()
     gaps[0] = 1.0
     f_coeffs = rt.coeffs / gaps

@@ -1,11 +1,11 @@
 """Eigenseries evaluation of the killed semigroup and conditional densities.
 
-Everything here is an explicit series in a SpectralBasis: the killed
-semigroup, its ground-state transform, the kernel of the transformed
-semigroup, and the density h_t of the conditional time-averaged occupation
-measure against mu_0 = phi_0^2 mu.  Time integrals of products of modes are
-evaluated in closed form with a guarded degenerate branch, so no numerical
-quadrature in time is ever performed.
+Everything here is an explicit series in a SpectralBasis: the survival
+probability, the ground-state transformed semigroup, the density h_t of the
+conditional time-averaged occupation measure against mu_0 = phi_0^2 mu with
+its leading 1/t part, and the reflecting-case mean occupation.  Time
+integrals of products of modes are evaluated in closed form with a guarded
+degenerate branch, so no numerical quadrature in time is ever performed.
 """
 
 from __future__ import annotations
@@ -26,15 +26,11 @@ __all__ = [
     "ConditionalDensity",
     "RhoTilde",
     "exp_time_integral",
-    "apply_dirichlet_semigroup",
     "ground_semigroup_apply",
-    "ground_kernel",
-    "psi_s_nu",
     "survival_probability",
     "conditional_density",
     "rho_tilde",
     "fluctuation_remainder",
-    "time_shift",
     "mean_empirical_density",
     "export_density_csv",
 ]
@@ -53,10 +49,6 @@ class SeriesTruncation:
     M: int
     tail_estimate: float
     target_tol: float
-
-    @property
-    def accepted(self) -> bool:
-        return self.tail_estimate <= self.target_tol
 
 
 def _coeff_envelope(coeffs: np.ndarray):
@@ -81,29 +73,6 @@ def _coeff_envelope(coeffs: np.ndarray):
     # envelope must dominate the observed window
     A = max(A, float(np.max(c * m**p)))
     return A, p
-
-
-def _sum_envelope(A: float, p: float, extra_exp: float, decay: float,
-                  kappa: float, d: int, M: int, horizon: int = 200000) -> float:
-    """Numeric upper bound for sum_{m>=M} A m^(extra_exp - p) e^{-decay kappa m^(2/d)}."""
-    if A == 0.0:
-        return 0.0
-    m = np.arange(M, M + min(horizon, 20 * M + 1000), dtype=float)
-    terms = A * m ** (extra_exp - p) * np.exp(-decay * kappa * m ** (2.0 / d))
-    total = float(np.sum(terms))
-    # geometric-style remainder past the window
-    last = terms[-1]
-    ratio = terms[-1] / terms[-2] if terms[-2] > 0 else 0.0
-    if 0 < ratio < 1:
-        total += float(last * ratio / (1 - ratio))
-    elif decay <= 0:
-        mx = m[-1]
-        tail_exp = extra_exp - p
-        if tail_exp < -1:
-            total += A * mx ** (tail_exp + 1) / (-tail_exp - 1)
-        else:
-            total = np.inf
-    return 2.0 * total     # safety factor on the fitted constants
 
 
 # ---------------------------------------------------------------------------
@@ -140,29 +109,6 @@ def exp_time_integral_pair(a_m: float, a_n: float, t: float) -> float:
 # semigroups
 # ---------------------------------------------------------------------------
 
-def apply_dirichlet_semigroup(coeffs: np.ndarray, basis: SpectralBasis,
-                              t: float, x=None, target_tol: float = 1e-10):
-    """Killed-semigroup action sum_m e^{-lambda_m t} c_m phi_m on the grid.
-
-    c_m must be the mu-inner products of the function being evolved.
-    Returns (values, truncation).  A tail above target_tol is reported in
-    the truncation record, never raised.
-    """
-    if t < 0:
-        raise SeriesError("time must be nonnegative")
-    c = np.asarray(coeffs, dtype=float)
-    decay = np.exp(-basis.eigenvalues * t)
-    phi = basis.eigenfunctions if x is None else basis.eval_modes(x)
-    vals = (c * decay) @ phi
-    A, p = _coeff_envelope(c)
-    kappa = weyl_floor(basis.gaps, basis.domain.dim)
-    sup_exp = 0.5 if not basis.analytic else 0.0
-    A_sup = float(np.max(basis.sup_norms))
-    tail = A_sup * np.exp(-basis.eigenvalues[0] * t) * _sum_envelope(
-        A, p, sup_exp, t, kappa, basis.domain.dim, basis.M)
-    return vals, SeriesTruncation(M=basis.M, tail_estimate=tail, target_tol=target_tol)
-
-
 def ground_semigroup_apply(values_on_grid, basis: SpectralBasis, t: float):
     """Ground-transformed semigroup applied to a grid function.
 
@@ -185,51 +131,6 @@ def survival_probability(nu_coeffs: np.ndarray, mu_coeffs: np.ndarray,
                         * np.exp(-np.asarray(eigenvalues) * t)))
 
 
-def ground_kernel(basis: SpectralBasis, x, y, t: float, target_tol: float = 1e-8):
-    """Kernel of the ground-transformed semigroup w.r.t. mu_0.
-
-    Returns (K, truncation) with K[i, j] the kernel at (x_i, y_j).  When the
-    dominated tail exceeds target_tol the record carries an estimate of the
-    mode count that would be needed.
-    """
-    if t <= 0:
-        raise SeriesError("kernel needs t > 0")
-    Rx = basis.eval_ratio(np.atleast_1d(x))
-    Ry = basis.eval_ratio(np.atleast_1d(y))
-    decay = np.exp(-basis.gaps * t)
-    K = (Rx * decay[:, None]).T @ Ry
-    d = basis.domain.dim
-    kappa = weyl_floor(basis.gaps, d)
-    ratio_exp = (d + 2.0) / (2.0 * d)
-    C = float(np.max(basis.ratio_sups / np.maximum(np.arange(basis.M) + 1.0, 1.0) ** ratio_exp))
-    tail = _sum_envelope(C * C, 0.0, 2 * ratio_exp, t, kappa, d, basis.M)
-    trunc = SeriesTruncation(M=basis.M, tail_estimate=tail, target_tol=target_tol)
-    if not trunc.accepted:
-        # dominated estimate of the cutoff that would reach the tolerance
-        M_need = basis.M
-        while M_need < 10**7:
-            if _sum_envelope(C * C, 0.0, 2 * ratio_exp, t, kappa, d, M_need) <= target_tol:
-                break
-            M_need *= 2
-        trunc = SeriesTruncation(M=M_need, tail_estimate=tail, target_tol=target_tol)
-    return K, trunc
-
-
-def psi_s_nu(nu_coeffs: np.ndarray, basis: SpectralBasis, s: float, x=None):
-    """Ground-kernel smoothing of nu against phi_0: a function on the grid.
-
-    Equals nu(phi_0) + sum_{m>=1} nu(phi_m) e^{-(lambda_m-lambda_0)s} phi_m/phi_0.
-    s = 0 is allowed only when the coefficient tail is summable, which holds
-    for density-type nu; callers pass s > 0 for point masses.
-    """
-    if s < 0:
-        raise SeriesError("time must be nonnegative")
-    c = np.asarray(nu_coeffs, dtype=float)
-    R = basis.ground_ratio if x is None else basis.eval_ratio(x)
-    decay = np.exp(-basis.gaps * s)
-    return (c * decay) @ R
-
-
 # ---------------------------------------------------------------------------
 # conditional occupation density
 # ---------------------------------------------------------------------------
@@ -244,18 +145,12 @@ class ConditionalDensity:
     truncation: SeriesTruncation
     basis: SpectralBasis = field(repr=False)
     bilinear: np.ndarray = field(repr=False)      # nu_m mu_n E_mn, (M, M)
-    mass: float = 1.0
-    min_value: float = 0.0
-    shift_eps: float = 0.0         # > 0 when a point mass was time-shifted
-    shift_tv_bound: float = 0.0
-    t_effective: float = 0.0
+    mass: float
+    min_value: float
 
     def evaluate(self, x) -> np.ndarray:
         """h_t at arbitrary points via the stored double series."""
-        R = self.basis.eval_ratio(x)
-        S = np.einsum("mj,mn,nj->j", R, self.bilinear, R, optimize=True)
-        te = self.t_effective or self.t
-        return 1.0 + (S - te * self.normalization) / (te * self.normalization)
+        return _density(self.basis.eval_ratio(x), self.bilinear, self.t * self.normalization)
 
     def fluctuation(self, x=None) -> np.ndarray:
         vals = self.grid_values if x is None else self.evaluate(x)
@@ -263,29 +158,20 @@ class ConditionalDensity:
 
 
 def conditional_density(nu: InitialDistribution, basis: SpectralBasis, t: float,
-                        target_tol: float = 1e-8,
-                        shift_eps: float | None = None) -> ConditionalDensity:
+                        target_tol: float = 1e-8) -> ConditionalDensity:
     """h_t for the conditional time-averaged occupation, as an eigenseries.
 
-    Point masses are evaluated directly: on intervals and rectangles their
-    truncated double series converges absolutely on the interior grid, and
-    the tail beyond the cutoff is reported like any other truncation.  A
-    positive shift_eps instead averages over [eps, t] with the short-time
-    evolved start (the two agree within 2 eps / t in total variation, but
-    the shift damps mode m by e^{-lambda_m eps}, which at desk-scale t
-    visibly depresses the rescaled transport distance, so it is opt-in).
+    h_t = 1 + (S - t Z)/(t Z) with S the double series
+    sum_{m,n} nu(phi_m) mu(phi_n) E_mn phi_m/phi_0 phi_n/phi_0, E the closed-form
+    time integrals and Z = e^{lambda_0 t} P(survival to t).  Point masses are
+    evaluated directly: on intervals and rectangles their truncated double
+    series converges absolutely on the interior grid, and the tail beyond the
+    cutoff is reported like any other truncation.
     """
     if basis.domain.boundary != DIRICHLET:
         raise SeriesError("conditional density is defined for the killed (Dirichlet) case")
     if t <= 0:
         raise SeriesError("need t > 0")
-
-    eps = 0.0
-    if shift_eps is not None:
-        eps = float(shift_eps)
-        if eps >= t / 2:
-            raise SeriesError(f"shift eps={eps} too large for horizon t={t}")
-        nu = time_shift(nu, basis, eps)
 
     nu_l2 = nu_l2_budget(nu, basis)
     nu_c = project(nu, basis)
@@ -293,28 +179,29 @@ def conditional_density(nu: InitialDistribution, basis: SpectralBasis, t: float,
     if nu_c[0] <= 0:
         raise SeriesError("nu has nonpositive ground-state mass; not admissible")
     a = basis.gaps
-    te = t - eps
-    E = exp_time_integral(a, te)
-    Z = float(np.sum(nu_c * mu_c * np.exp(-a * te)))
+    E = exp_time_integral(a, t)
+    Z = float(np.sum(nu_c * mu_c * np.exp(-a * t)))
     if Z <= 0:
         raise SeriesError("nonpositive survival normalization")
     C = np.outer(nu_c, mu_c) * E
-    R = basis.ground_ratio
-    S = np.einsum("mj,mn,nj->j", R, C, R, optimize=True)
-    h = 1.0 + (S - te * Z) / (te * Z)
+    h = _density(basis.ground_ratio, C, t * Z)
 
     mass = basis.integrate_mu0(h)
     hmin = float(np.min(h))
-    tail = _rho_tail_bound(nu_c, mu_c, basis, te, Z, nu_l2=nu_l2)
+    tail = _rho_tail_bound(nu_c, mu_c, basis, t, Z, nu_l2=nu_l2)
     trunc = SeriesTruncation(M=basis.M, tail_estimate=tail, target_tol=target_tol)
     cd = ConditionalDensity(
         t=t, grid_values=h, normalization=Z, truncation=trunc, basis=basis,
-        bilinear=C, mass=mass, min_value=hmin,
-        shift_eps=eps, shift_tv_bound=(2.0 * eps / t if eps else 0.0),
-        t_effective=te)
+        bilinear=C, mass=mass, min_value=hmin)
     if abs(mass - 1.0) > 1e-6:
         raise SeriesError(f"conditional density mass {mass} off by more than 1e-6")
     return cd
+
+
+def _density(R: np.ndarray, C: np.ndarray, tZ: float) -> np.ndarray:
+    """1 + (S - tZ)/tZ with S_j = sum_{m,n} R_mj C_mn R_nj."""
+    S = np.einsum("mj,mn,nj->j", R, C, R, optimize=True)
+    return 1.0 + (S - tZ) / tZ
 
 
 def _ratio_growth(basis: SpectralBasis):
@@ -374,9 +261,6 @@ class RhoTilde:
     normalization: float
     values: np.ndarray
 
-    def evaluate(self, basis: SpectralBasis, x) -> np.ndarray:
-        return self.coeffs @ basis.eval_ratio(x)
-
 
 def rho_tilde(nu_coeffs, mu_coeffs, basis: SpectralBasis, t: float,
               normalization: float | None = None) -> RhoTilde:
@@ -422,46 +306,9 @@ def fluctuation_remainder(nu_coeffs, mu_coeffs, basis: SpectralBasis, t: float):
     return (-A_vals + S11 - diag_corr) / (t * Z)
 
 
-def minimum_nonnegative_time(nu, basis: SpectralBasis, t_grid,
-                             tol: float = 1e-6) -> float | None:
-    """Smallest scanned t with h_t >= -tol everywhere on the grid.
-
-    No closed-form threshold is known, so this is an empirical scan;
-    returns None when every scanned time still dips below -tol.
-    """
-    for t in sorted(float(t) for t in t_grid):
-        cd = conditional_density(nu, basis, t)
-        if cd.min_value >= -tol:
-            return t
-    return None
-
-
 # ---------------------------------------------------------------------------
-# time shift and the reflecting-case mean occupation
+# reflecting-case mean occupation
 # ---------------------------------------------------------------------------
-
-def time_shift(nu: InitialDistribution, basis: SpectralBasis,
-               eps: float) -> InitialDistribution:
-    """Evolve nu by a short time and renormalize among surviving paths.
-
-    Returns the density variant with h_eps proportional to psi_eps * phi_0
-    against mu.  Its coefficients satisfy
-    nu_eps(phi_m) = e^{-lambda_m eps} nu(phi_m) / nu(survival at eps).
-    """
-    if eps <= 0:
-        raise SeriesError("shift needs eps > 0")
-    nu_c = project(nu, basis)
-    psi = psi_s_nu(nu_c, basis, eps)
-    raw = psi * basis.ground_state
-    Z = float(np.dot(raw, basis.weights))
-    if Z <= 0:
-        raise SeriesError("time shift produced nonpositive mass")
-    h = raw / Z
-    shifted = InitialDistribution(
-        kind="density_mu", density=h, nodes=basis.grid.copy(),
-        name=f"shift({nu.label()},{eps:g})")
-    return shifted
-
 
 def mean_empirical_density(nu_coeffs, basis: SpectralBasis, t: float, x=None):
     """Time-averaged occupation density for the reflecting case, w.r.t. mu.

@@ -18,7 +18,6 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import logsumexp
 
 from .measures import GridMeasure
-from .semigroup import ConditionalDensity
 from .spectral import SpectralBasis
 
 __all__ = [
@@ -349,8 +348,8 @@ def _atoms_of(m, atoms):
 # weighted H^-1 upper bound
 # ---------------------------------------------------------------------------
 
-def h_minus1_upper_bound(h: ConditionalDensity | np.ndarray, basis: SpectralBasis):
-    """Upper bound for W2^2 between h mu_0 and mu_0.
+def h_minus1_upper_bound(h: np.ndarray, basis: SpectralBasis):
+    """Upper bound for W2^2 between h mu_0 and mu_0, for h on the basis grid.
 
     Expands rho = h - 1 in the ratio basis, applies the inverse generator
     mode by mode, and integrates the squared gradient against mu_0 weighted
@@ -358,7 +357,7 @@ def h_minus1_upper_bound(h: ConditionalDensity | np.ndarray, basis: SpectralBasi
     zero weight and are flagged; the contribution of a thin strip near the
     boundary is reported separately.
     """
-    hvals = h.grid_values if isinstance(h, ConditionalDensity) else np.asarray(h, dtype=float)
+    hvals = np.asarray(h, dtype=float)
     if hvals.shape != basis.grid.shape[:1]:
         raise TransportError("density values must live on the basis grid")
     rho = hvals - 1.0

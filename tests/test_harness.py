@@ -92,22 +92,73 @@ def test_bad_numbers_rejected_naming_the_key(tmp_path, capsys, source, key, valu
     assert not os.path.exists(os.path.join(out, "limit.json"))
 
 
+BAD_AT_LOAD = {
+    "mc.dt-0": ({"mc": {"dt": 0}}, "mc.dt must be finite and positive"),
+    "mc.dt-inf": ({"mc": {"dt": float("inf")}}, "mc.dt must be finite and positive"),
+    "mc.horizon-neg": ({"mc": {"horizon": -1.0}}, "mc.horizon must be finite and positive"),
+    "mc.n_paths-str": ({"mc": {"n_paths": "many"}}, "mc.n_paths must be an integer of at least 1"),
+    "mc.n_paths-frac": ({"mc": {"n_paths": 2.5}}, "mc.n_paths must be an integer of at least 1"),
+    "mc.n_bins-0": ({"mc": {"n_bins": 0}}, "mc.n_bins must be an integer of at least 1"),
+    "mc.islands-1": ({"mc": {"islands": 1}}, "mc.islands must be an integer of at least 2"),
+    "mc.slope_times-empty": ({"mc": {"slope_times": []}}, "mc.slope_times must be a nonempty"),
+    "mc.slope_times-zero": ({"mc": {"slope_times": [0.0, 0.2]}}, "mc.slope_times must be"),
+    "mc.slope_times-order": ({"mc": {"slope_times": [0.4, 0.2]}}, "mc.slope_times must be"),
+    "mc.checkpoints": ({"mc": {"checkpoints": [0.1]}}, "unknown mc keys: \\['checkpoints'\\]"),
+    "nu-point-no-x": ({"nu": {"kind": "point"}}, "nu of kind 'point' needs \\['x'\\]"),
+    "nu-density-no-nodes": ({"nu": {"kind": "density_mu", "values": [1.0]}},
+                            "nu of kind 'density_mu' needs \\['nodes'\\]"),
+    "nu-unknown": ({"nu": {"kind": "bogus"}}, "unknown nu kind 'bogus'"),
+    "n_quantiles-3999": ({"n_quantiles": 3999}, "n_quantiles must be at least 4000"),
+    "n_quantiles-0": ({"n_quantiles": 0}, "n_quantiles must be at least 4000"),
+    "modes_limit": ({"modes_limit": 2000}, "unknown config keys: \\['modes_limit'\\]"),
+    "sl_grid": ({"sl_grid": 2000}, "unknown config keys: \\['sl_grid'\\]"),
+}
+
+
+@pytest.mark.parametrize("overrides, message", BAD_AT_LOAD.values(), ids=BAD_AT_LOAD)
+def test_bad_values_rejected_at_load(tmp_path, capsys, overrides, message):
+    path = write_config(tmp_path, **overrides)
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig.load(path)
+    out = str(tmp_path / "res")
+    assert run_cli("limit", "--config", str(path), "--out", out) == 2
+    assert "error: " in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "limit.json"))
+
+
 RECTANGLE = {"kind": "rectangle", "bounds": [0.0, 1.0, 0.0, 0.5], "boundary": "dirichlet"}
+NEUMANN_INTERVAL = {"kind": "interval", "bounds": [0.0, 1.0], "boundary": "neumann"}
 
 
-def test_rectangle_rejected_where_measures_are_1d(tmp_path, capsys):
+def _no_basis(self):
+    raise AssertionError("basis built for a config that should have been rejected")
+
+
+def test_rectangle_rejected_where_measures_are_1d(tmp_path, capsys, monkeypatch):
     cfg_path = write_config(tmp_path, domain=RECTANGLE, modes=64)
     cfg = ExperimentConfig.load(cfg_path)
-    for run in (run_convergence, lambda c: run_sandwich(c, 2.0), run_mc_crosscheck):
-        with pytest.raises(ConfigError, match="needs an interval domain"):
-            run(cfg)
     out = str(tmp_path / "res")
-    for command in ("converge", "sandwich", "mc", "w2", "density"):
-        assert run_cli(command, "--config", str(cfg_path), "--out", out) == 2
-        assert "needs an interval domain" in capsys.readouterr().err
+    with monkeypatch.context() as m:
+        m.setattr(ExperimentConfig, "build_basis", _no_basis)
+        for run in (run_convergence, lambda c: run_sandwich(c, 2.0), run_mc_crosscheck):
+            with pytest.raises(ConfigError, match="needs an interval domain"):
+                run(cfg)
+        for command in ("converge", "sandwich", "mc", "w2", "density"):
+            assert run_cli(command, "--config", str(cfg_path), "--out", out) == 2
+            assert "needs an interval domain" in capsys.readouterr().err
     for command in ("basis", "project", "limit"):
         assert run_cli(command, "--config", str(cfg_path), "--out", out) == 0
     assert not os.path.exists(os.path.join(out, "density_t1.csv"))
+
+    # a reflecting interval: the commands that evaluate h_t stop before the basis
+    cfg_path = write_config(tmp_path, domain=NEUMANN_INTERVAL)
+    monkeypatch.setattr(ExperimentConfig, "build_basis", _no_basis)
+    with pytest.raises(ConfigError, match="sandwich needs boundary 'dirichlet'"):
+        run_sandwich(ExperimentConfig.load(cfg_path), 2.0)
+    for command in ("sandwich", "w2", "density"):
+        assert run_cli(command, "--config", str(cfg_path), "--out", out) == 2
+        assert f"error: {command} needs boundary 'dirichlet', got 'neumann'" in \
+            capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from condemp import (build_analytic_basis, compute_I, compute_I_neumann,
 from condemp.domains import NEUMANN
 from condemp.limits import LimitError
 from condemp.measures import InitialDistribution
-from condemp.semigroup import survival_probability, time_shift
+from condemp.semigroup import survival_probability
 from condemp.spectral import analytic_eigenvalues
 
 PI = np.pi

@@ -5,15 +5,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from condemp import build_analytic_basis, mu_coefficients, project, unit_interval
-from condemp.domains import NEUMANN
 from condemp.measures import InitialDistribution
-from condemp.semigroup import (SeriesError, apply_dirichlet_semigroup,
-                               conditional_density, exp_time_integral,
+from condemp.semigroup import (SeriesError, conditional_density,
                                exp_time_integral_pair, export_density_csv,
-                               fluctuation_remainder, ground_kernel,
-                               ground_semigroup_apply, mean_empirical_density,
-                               psi_s_nu, rho_tilde, survival_probability,
-                               time_shift)
+                               fluctuation_remainder, ground_semigroup_apply,
+                               mean_empirical_density, rho_tilde,
+                               survival_probability)
 
 PI2 = np.pi**2
 GAP1 = 3 * PI2          # first spectral gap on the unit interval
@@ -63,13 +60,6 @@ def test_time_integral_properties(a, d, t):
 # killed semigroup
 # ---------------------------------------------------------------------------
 
-def test_identity_at_time_zero(dirichlet_basis_64):
-    basis = dirichlet_basis_64
-    coeffs = np.eye(basis.M)[1]
-    vals, _ = apply_dirichlet_semigroup(coeffs, basis, 0.0)
-    assert np.max(np.abs(vals - basis.eigenfunctions[1])) <= 1e-12
-
-
 def test_survival_mass_series(dirichlet_basis_128):
     basis = dirichlet_basis_128
     mu_c = mu_coefficients(basis)
@@ -105,21 +95,6 @@ def test_killed_semigroup_spectral_projection_decay(dirichlet_basis_64):
 # ground kernel
 # ---------------------------------------------------------------------------
 
-def test_ground_kernel_mass(dirichlet_basis_64):
-    basis = dirichlet_basis_64
-    w0 = basis.ground_state**2 * basis.weights
-    for t in (0.05, 0.5, 5.0):
-        K, trunc = ground_kernel(basis, basis.grid, basis.grid, t)
-        mass = K @ w0
-        assert np.max(np.abs(mass - 1.0)) <= 1e-7
-
-
-def test_ground_kernel_symmetry(dirichlet_basis_64):
-    x = np.linspace(0.1, 0.9, 17)
-    K, _ = ground_kernel(dirichlet_basis_64, x, x, 0.3)
-    assert np.max(np.abs(K - K.T)) <= 1e-12
-
-
 def test_ground_kernel_flattens(dirichlet_basis_64):
     basis = dirichlet_basis_64
     sup = {}
@@ -131,40 +106,9 @@ def test_ground_kernel_flattens(dirichlet_basis_64):
     assert ratio == pytest.approx(np.exp(-GAP1 * 0.25), rel=0.1)
 
 
-def test_ground_kernel_small_time_report():
-    basis = build_analytic_basis(unit_interval(), 16)
-    _, trunc = ground_kernel(basis, [0.5], [0.5], 1e-4, target_tol=1e-8)
-    assert not np.isnan(trunc.tail_estimate)
-    assert trunc.M >= 16       # reports the cutoff that would be needed
-
-
 # ---------------------------------------------------------------------------
-# psi and the survival identity
+# ground-transformed relaxation
 # ---------------------------------------------------------------------------
-
-def test_psi_single_mode_is_constant(dirichlet_basis_64):
-    basis = dirichlet_basis_64
-    coeffs = np.eye(basis.M)[0] * 0.7
-    for s in (0.0, 0.4, 2.0):
-        psi = psi_s_nu(coeffs, basis, s)
-        assert np.max(np.abs(psi - 0.7)) <= 1e-13
-
-
-def test_psi_survival_identity(dirichlet_basis_64):
-    # integral of psi_s / phi_0 against mu_0 equals the survival probability
-    # rescaled by e^{lambda_0 s}, for several starting laws
-    basis = dirichlet_basis_64
-    mu_c = mu_coefficients(basis)
-    for nu in (InitialDistribution.from_mu(), tilted_density(),
-               InitialDistribution.from_point(0.3)):
-        nu_c = project(nu, basis)
-        for s in (0.05, 0.3, 1.0):
-            psi = psi_s_nu(nu_c, basis, s)
-            lhs = basis.integrate(psi * basis.ground_state)   # mu_0(psi/phi_0)
-            rhs = np.exp(basis.eigenvalues[0] * s) * survival_probability(
-                nu_c, mu_c, basis.eigenvalues, s)
-            assert lhs == pytest.approx(rhs, rel=1e-10)
-
 
 def test_psi_relaxation_rate(dirichlet_basis_64):
     # starting from the occupation limit the active mode is the second one
@@ -284,77 +228,12 @@ def test_conditional_density_beats_naive_difference(dirichlet_basis_64):
     assert np.max(np.abs(blunt - direct)) <= 1e-11
 
 
-def test_minimum_nonnegative_time(dirichlet_basis_64):
-    from condemp.semigroup import minimum_nonnegative_time
-    basis = dirichlet_basis_64
-    nu = InitialDistribution.from_point(0.05)    # near the wall: h dips early
-    t_min = minimum_nonnegative_time(nu, basis, (0.02, 0.1, 0.5, 2.0))
-    assert t_min is not None
-    cd = conditional_density(nu, basis, t_min)
-    assert cd.min_value >= -1e-6
-
-
-# ---------------------------------------------------------------------------
-# time shift
-# ---------------------------------------------------------------------------
-
-def test_time_shift_point_mass_mass(dirichlet_basis_128):
-    basis = dirichlet_basis_128
-    shifted = time_shift(InitialDistribution.from_point(0.5), basis, 0.01)
-    h = shifted.density_on(basis.grid)
-    assert abs(basis.integrate(h) - 1.0) <= 1e-8
-    assert np.min(h) >= -1e-9
-
-
-def test_time_shift_coefficient_identity(dirichlet_basis_128):
-    basis = dirichlet_basis_128
-    nu = InitialDistribution.from_point(0.5)
-    nu_c = project(nu, basis)
-    mu_c = mu_coefficients(basis)
-    eps = 0.01
-    shifted = time_shift(nu, basis, eps)
-    got = project(shifted, basis)
-    surv = survival_probability(nu_c, mu_c, basis.eigenvalues, eps)
-    expected = np.exp(-basis.eigenvalues * eps) * nu_c / surv
-    assert np.max(np.abs(got - expected)) <= 1e-7
-
-
-def test_time_shift_smooth_limit(dirichlet_basis_64):
-    basis = dirichlet_basis_64
-    nu = tilted_density()
-    h = nu.density_on(basis.grid)
-    errs = []
-    for eps in (0.1, 0.05, 0.025):
-        h_eps = time_shift(nu, basis, eps).density_on(basis.grid)
-        errs.append(np.sqrt(basis.integrate((h_eps - h) ** 2)))
-    assert errs[0] > errs[1] > errs[2]
-
-
 def test_point_mass_density_direct(dirichlet_basis_128):
     basis = dirichlet_basis_128
     t = 4.0
     cd = conditional_density(InitialDistribution.from_point(0.5), basis, t)
-    assert cd.shift_eps == 0.0
     assert cd.mass == pytest.approx(1.0, abs=1e-6)
     assert cd.min_value >= -1e-6
-
-
-def test_point_mass_density_optional_shift(dirichlet_basis_128):
-    # the opt-in short-time shift averages over [eps, t]: mode m is damped
-    # by e^{-gap_m eps} relative to the direct evaluation
-    basis = dirichlet_basis_128
-    t, eps = 4.0, 0.05
-    nu = InitialDistribution.from_point(0.5)
-    direct = conditional_density(nu, basis, t)
-    shifted = conditional_density(nu, basis, t, shift_eps=eps)
-    assert shifted.shift_eps == pytest.approx(eps)
-    assert shifted.shift_tv_bound == pytest.approx(2.0 * eps / t)
-    assert shifted.mass == pytest.approx(1.0, abs=1e-6)
-    # the shift shrinks the fluctuation
-    w0 = basis.ground_state**2 * basis.weights
-    n_direct = np.dot(np.abs(direct.fluctuation()), w0)
-    n_shift = np.dot(np.abs(shifted.fluctuation()), w0)
-    assert n_shift < n_direct
 
 
 # ---------------------------------------------------------------------------
