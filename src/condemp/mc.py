@@ -5,7 +5,16 @@ Euler-Maruyama.  Killing applies the Brownian-bridge crossing correction
 exp(-d1 d2 / dt) per face, matching quadratic variation 2 dt.  Random
 numbers come from counter-based Philox streams keyed by (seed, block), with
 fixed block size and inverse-CDF normals, so ensembles are bitwise
-reproducible and independent of how blocks are scheduled.
+reproducible and independent of how blocks are scheduled: one after another
+in this process, or on worker processes, one per core the process may run
+on.  Workers are forked, so each starts with the config as it is (a config
+may hold lambdas, which do not pickle) and only block results travel back.
+
+Occupation is kept as integer visit counts per (path, bin): each step
+visits the bins of both its ends, every visit worth dt/2.  With all
+increments equal, a bin's occupation time depends on its count alone; it
+is read at the end from one table of running sums, bit for bit the value
+that adding the increments one by one gives.
 
 Deep horizons are unreachable by direct killing (survival decays like
 e^{-lambda_0 t}), so the simulator also offers a resampling mode: killed
@@ -17,6 +26,7 @@ standard errors.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +41,7 @@ __all__ = ["SimulationError", "SimulationConfig", "PathEnsembleSummary",
 
 BLOCK = 16384      # fixed stream-block size; never tied to worker count
 EMPIRICAL_QUANTILES = 20000   # quantile nodes of the conditional empirical W2
+BRIDGE_CUTOFF = 37.0   # exp(-37) < 2^-53: no nonzero uniform lies below the crossing probability
 
 
 class SimulationError(ValueError):
@@ -123,75 +134,101 @@ def _reflect(x: np.ndarray, a: float, b: float) -> np.ndarray:
 
 def _bin_index(x: np.ndarray, a: float, b: float, n_bins: int) -> np.ndarray:
     idx = ((x - a) / (b - a) * n_bins).astype(np.int64)
-    return np.clip(idx, 0, n_bins - 1)
+    return np.minimum(np.maximum(idx, 0, out=idx), n_bins - 1, out=idx)
 
 
-def _propose(cfg: SimulationConfig, rng, x: np.ndarray) -> np.ndarray:
-    """One Euler-Maruyama step from x; draws one uniform per path."""
-    z = ndtri(rng.random(x.size))
+def _propose(cfg: SimulationConfig, u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """One Euler-Maruyama step from x, driven by one uniform per path."""
+    z = ndtri(u)
     drift = 0.0 if cfg.drift is None else np.asarray(cfg.drift(x), dtype=float)
     return x + drift * cfg.dt + np.sqrt(2.0 * cfg.dt) * z
 
 
-def _survives(rng, x: np.ndarray, xn: np.ndarray, a: float, b: float,
-              dt: float) -> np.ndarray:
+def _survives(u0: np.ndarray, u1: np.ndarray, x: np.ndarray, xn: np.ndarray,
+              a: float, b: float, dt: float) -> np.ndarray:
     """The step x -> xn ends inside and its Brownian bridge crossed neither
-    face (crossing probability exp(-d1 d2 / dt) per face); draws two
-    uniforms per path."""
-    u0 = rng.random(x.size)
-    u1 = rng.random(x.size)
-    inside = (xn > a) & (xn < b)
+    face: face k is crossed with probability p = exp(-d1 d2 / dt) and
+    survived when u_k > p.  The exponential is evaluated only where
+    d1 d2 / dt <= BRIDGE_CUTOFF; beyond it p < 2^-53, the spacing of the
+    uniforms, so u_k > p is the same decision as u_k > 0."""
+    ok = (xn > a) & (xn < b) & (u0 > 0.0) & (u1 > 0.0)
     with np.errstate(over="ignore"):
-        p0 = np.exp(-np.maximum(x - a, 0.0) * np.maximum(xn - a, 0.0) / dt)
-        p1 = np.exp(-np.maximum(b - x, 0.0) * np.maximum(b - xn, 0.0) / dt)
-    return inside & (u0 > p0) & (u1 > p1)
+        for u, d, dn in ((u0, x - a, xn - a), (u1, b - x, b - xn)):
+            r = np.maximum(d, 0.0) * np.maximum(dn, 0.0) / dt
+            near = np.flatnonzero(ok & (r <= BRIDGE_CUTOFF))
+            ok[near] = u[near] > np.exp(-r[near])
+    return ok
 
 
-def _occupy(occ: np.ndarray, rows: np.ndarray, x: np.ndarray, xn: np.ndarray,
-            a: float, b: float, dt: float):
-    """Trapezoidal occupation of the step: dt/2 in the bins of both ends."""
-    n_bins = occ.shape[1]
-    np.add.at(occ, (rows, _bin_index(x, a, b, n_bins)), 0.5 * dt)
-    np.add.at(occ, (rows, _bin_index(xn, a, b, n_bins)), 0.5 * dt)
+def _visit(counts: np.ndarray, offsets: np.ndarray, x: np.ndarray, a: float, b: float):
+    """One visit (half a trapezoidal step, dt/2) in the bin of x, for the
+    rows whose flat offsets are given; each row appears once."""
+    n_bins = counts.shape[1]
+    counts.reshape(-1)[offsets + _bin_index(x, a, b, n_bins)] += 1
+
+
+def _new_counts(cfg: SimulationConfig, n: int) -> np.ndarray:
+    """Per-(path, bin) visit counts in the smallest dtype that holds the
+    2 n_steps visits of a path."""
+    return np.zeros((n, cfg.n_bins), dtype=np.min_scalar_type(2 * cfg.n_steps()))
+
+
+def _visit_times(cfg: SimulationConfig) -> np.ndarray:
+    """Occupation time of k visits at index k: k increments dt/2 summed one
+    by one in float, as accumulating them per step does."""
+    return np.concatenate([[0.0], np.cumsum(np.full(2 * cfg.n_steps(), 0.5 * cfg.dt))])
 
 
 def _run_block_direct(cfg: SimulationConfig, block: int, n: int, cp_steps: dict):
-    """One stream block of killed or reflecting paths, no resampling."""
+    """One stream block of killed or reflecting paths, no resampling.
+
+    Returns the final positions and visit counts of the paths alive at the
+    horizon, and the live count at each checkpoint.  Killed paths drop out
+    of the arithmetic, but each step still draws the whole block's
+    uniforms, so a path's draws do not depend on which others died."""
     a, b = cfg.domain.bounds
     rng = _rng_for(cfg.seed, block)
     x = _sample_initial(cfg.initial, cfg.domain, rng, n)
     kill = cfg.boundary_rule == "kill"
-    alive = np.ones(n, dtype=bool)
-    occ = np.zeros((n, cfg.n_bins))
+    counts = _new_counts(cfg, n)
+    live = np.arange(n)
+    offsets = live * cfg.n_bins
     cp_counts = {}
-    rows = np.arange(n)
     for s in range(1, cfg.n_steps() + 1):
-        xn = _propose(cfg, rng, x)
         if kill:
-            alive &= _survives(rng, x, xn, a, b, cfg.dt)
-            xn = np.where(alive, np.clip(xn, a, b), x)
+            u = rng.random(3 * n).reshape(3, n)
+            if live.size < n:
+                u = u[:, live]
+            xn = _propose(cfg, u[0], x)
+            ok = _survives(u[1], u[2], x, xn, a, b, cfg.dt)
+            if not ok.all():
+                live, offsets, x, xn = live[ok], offsets[ok], x[ok], xn[ok]
         else:
-            xn = _reflect(xn, a, b)
-        _occupy(occ, rows, x, xn, a, b, cfg.dt)
+            xn = _reflect(_propose(cfg, rng.random(n), x), a, b)
+        _visit(counts, offsets, x, a, b)
+        _visit(counts, offsets, xn, a, b)
         x = xn
         if s in cp_steps:
-            cp_counts[cp_steps[s]] = int(alive.sum())
-    return x, alive, occ, cp_counts
+            cp_counts[cp_steps[s]] = live.size
+    return x, counts[live], cp_counts
 
 
 def _run_block_resampled(cfg: SimulationConfig, block: int, n: int, cp_steps: dict):
     """One branching population: killed particles clone a survivor's state
-    and occupation record, so final records sample the conditioned paths."""
+    and visit counts, so final records sample the conditioned paths.
+    Returns the final positions, the mean occupation time per bin, the log
+    survival and its value at each checkpoint."""
     a, b = cfg.domain.bounds
     rng = _rng_for(cfg.seed, block)
     x = _sample_initial(cfg.initial, cfg.domain, rng, n)
-    occ = np.zeros((n, cfg.n_bins))
+    counts = _new_counts(cfg, n)
+    offsets = np.arange(n) * cfg.n_bins
     log_surv = 0.0
     cp_logs = {}
-    rows = np.arange(n)
     for s in range(1, cfg.n_steps() + 1):
-        xn = _propose(cfg, rng, x)
-        killed = ~_survives(rng, x, xn, a, b, cfg.dt)
+        u = rng.random(3 * n).reshape(3, n)
+        xn = _propose(cfg, u[0], x)
+        killed = ~_survives(u[1], u[2], x, xn, a, b, cfg.dt)
         nk = int(killed.sum())
         if nk == n:
             raise SimulationError("entire population killed in one step; shrink dt")
@@ -201,14 +238,51 @@ def _run_block_resampled(cfg: SimulationConfig, block: int, n: int, cp_steps: di
             donors = survivors[(rng.random(nk) * survivors.size).astype(np.int64)]
             xold = x.copy()
             xold[killed] = x[donors]
-            xn[killed] = np.clip(_propose(cfg, rng, x[donors]), a + 1e-12, b - 1e-12)
-            occ[killed] = occ[donors]
+            xn[killed] = np.clip(_propose(cfg, rng.random(nk), x[donors]),
+                                 a + 1e-12, b - 1e-12)
+            counts[killed] = counts[donors]
         log_surv += np.log1p(-nk / n)
-        _occupy(occ, rows, xold, xn, a, b, cfg.dt)
+        _visit(counts, offsets, xold, a, b)
+        _visit(counts, offsets, xn, a, b)
         x = xn
         if s in cp_steps:
             cp_logs[cp_steps[s]] = log_surv
-    return x, occ, log_surv, cp_logs
+    return x, _visit_times(cfg)[counts].mean(axis=0), log_surv, cp_logs
+
+
+def _workers(n_blocks: int) -> int:
+    """One worker per core this process may run on, at most one per block."""
+    return min(len(os.sched_getaffinity(0)), n_blocks)
+
+
+_worker_config = None     # set in each pool worker by _adopt_config
+
+
+def _adopt_config(config: SimulationConfig):
+    global _worker_config
+    _worker_config = config
+
+
+def _run_in_worker(kernel, job):
+    return kernel(_worker_config, *job)
+
+
+def _run_blocks(kernel, config: SimulationConfig, jobs: list) -> list:
+    """kernel(config, *job) for every job, results in job order: on a pool
+    of forked workers that get the config through their initializer, or in
+    this process when there is one worker.  The pool is shut down before
+    this returns or raises."""
+    n_workers = _workers(len(jobs))
+    if n_workers <= 1:
+        return [kernel(config, *job) for job in jobs]
+    import multiprocessing                 # deferred: only pooled runs need them
+    from concurrent.futures import ProcessPoolExecutor
+    pool = ProcessPoolExecutor(n_workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_adopt_config, initargs=(config,))
+    try:
+        return list(pool.map(_run_in_worker, [kernel] * len(jobs), jobs))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def simulate(config: SimulationConfig) -> PathEnsembleSummary:
@@ -227,9 +301,10 @@ def simulate(config: SimulationConfig) -> PathEnsembleSummary:
         finals = []
         log_survs = []
         cp_acc: dict = {}
-        for isl in range(n_isl):
-            xf, occ, ls, cps = _run_block_resampled(config, isl, per, cp_steps)
-            island_hist[isl] = occ.mean(axis=0) / t / widths
+        jobs = [(isl, per, cp_steps) for isl in range(n_isl)]
+        for isl, (xf, occ_mean, ls, cps) in enumerate(
+                _run_blocks(_run_block_resampled, config, jobs)):
+            island_hist[isl] = occ_mean / t / widths
             finals.append(xf)
             log_survs.append(ls)
             for k, v in cps.items():
@@ -252,22 +327,19 @@ def simulate(config: SimulationConfig) -> PathEnsembleSummary:
     finals = []
     surv_occ = []
     cp_counts: dict = {}
-    remaining = config.n_paths
-    block = 0
-    while remaining > 0:
-        n = min(BLOCK, remaining)
-        xf, alive, occ, cps = _run_block_direct(config, block, n, cp_steps)
-        occ_alive = occ[alive] / t
-        survivors += int(alive.sum())
-        finals.append(xf[alive])
+    jobs = [(block, min(BLOCK, config.n_paths - start), cp_steps)
+            for block, start in enumerate(range(0, config.n_paths, BLOCK))]
+    visit_times = _visit_times(config)
+    for xf, counts, cps in _run_blocks(_run_block_direct, config, jobs):
+        occ_alive = visit_times[counts] / t
+        survivors += xf.size
+        finals.append(xf)
         if occ_alive.size:
             total_occ += occ_alive.sum(axis=0)
             total_sq += (occ_alive**2).sum(axis=0)
             surv_occ.append(occ_alive)
         for k, v in cps.items():
             cp_counts[k] = cp_counts.get(k, 0) + v
-        remaining -= n
-        block += 1
 
     if survivors == 0:
         raise SimulationError(

@@ -14,6 +14,7 @@ interior point mass, or a raw Lebesgue density on its own grid.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = ["MeasureError", "GridMeasure", "InitialDistribution"]
 
 
 NEWTON_ITERS = 60      # cap on guarded Newton steps per quantile inversion
+QUANTILE_CACHE = 2     # level arrays remembered per measure: w2_quantile_1d alternates two
 EPS, TINY = np.finfo(float).eps, np.finfo(float).smallest_subnormal
 
 
@@ -125,6 +127,7 @@ class GridMeasure:
         # monotonicity guard for corrupt inputs
         if np.any(np.diff(self._cdf_nodes) < -1e-14):
             raise MeasureError("CDF not monotone (corrupt density input)")
+        self._quantiles: dict = {}     # (shape, level digest) -> read-only quantiles
 
     # ---- basic queries ------------------------------------------------
 
@@ -151,9 +154,26 @@ class GridMeasure:
         within the rounding of its Horner sum, or the Newton step or the
         bracket is a few ulps of x.  Levels still open after NEWTON_ITERS
         steps raise MeasureError.
+
+        The results for the last QUANTILE_CACHE level arrays are kept, keyed
+        by a digest of the levels, and come back read-only.
         """
         u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
-        shape, u = u.shape, u.ravel()
+        key = (u.shape, hashlib.blake2b(u.tobytes(), digest_size=16).digest())
+        x = self._quantiles.get(key)
+        if x is None:
+            # copied after the inversion's temporaries are freed, so the kept
+            # array does not pin the allocator's heap above them (without
+            # the copy a killed_converge pass peaks ~12 MiB higher)
+            x = self._invert(u.ravel()).reshape(u.shape).copy()
+            x.flags.writeable = False
+            if len(self._quantiles) == QUANTILE_CACHE:
+                del self._quantiles[next(iter(self._quantiles))]
+            self._quantiles[key] = x
+        return x
+
+    def _invert(self, u: np.ndarray) -> np.ndarray:
+        """Quantiles of the flat level array u, as `quantile` describes."""
         F = self._cdf_nodes / self._mass
         j = np.clip(np.searchsorted(F, u, side="left"), 1, F.size - 1)
         F0, F1 = F[j - 1], F[j]
@@ -181,7 +201,7 @@ class GridMeasure:
         s[v[far]] = np.minimum(s0[far], hi[v[far]])
         for _ in range(NEWTON_ITERS):
             if open_.size == 0:
-                return np.minimum(x0 + s, x1).reshape(shape)
+                return np.minimum(x0 + s, x1)
             c, t, si = coef[:, open_], target[open_], s[open_]
             tol = 2 * EPS * (np.abs(x0[open_]) + si) + TINY    # a few ulps of x and s
             g, dg, size = c[0], np.zeros_like(si), np.abs(c[0])   # size: Horner sum of |terms|

@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from condemp import (build_analytic_basis, mu_coefficients, project,
                      unit_interval)
 from condemp.domains import NEUMANN
 from condemp.measures import GridMeasure, InitialDistribution
-from condemp.mc import (SimulationConfig, SimulationError,
+from condemp.mc import (BLOCK, SimulationConfig, SimulationError,
                         conditional_empirical_w2, simulate)
 from condemp.semigroup import survival_probability
 from condemp.transport import w1_grid_1d
@@ -46,10 +49,10 @@ def test_block_boundary_determinism():
     from condemp.mc import BLOCK, _run_block_direct
     cfg_small = kill_config(n_paths=BLOCK)
     cfg_large = kill_config(n_paths=BLOCK + 7)
-    xa, alive_a, occ_a, _ = _run_block_direct(cfg_small, 0, BLOCK, {})
-    xb, alive_b, occ_b, _ = _run_block_direct(cfg_large, 0, BLOCK, {})
+    xa, counts_a, _ = _run_block_direct(cfg_small, 0, BLOCK, {})
+    xb, counts_b, _ = _run_block_direct(cfg_large, 0, BLOCK, {})
     assert np.array_equal(xa, xb)
-    assert np.array_equal(alive_a, alive_b)
+    assert np.array_equal(counts_a, counts_b)
 
 
 def test_tabulated_density_start():
@@ -176,3 +179,272 @@ def test_neumann_point_start_mean_occupation():
     ref = mean_occupation_measure(nu_c, basis, t, 4097)
     w1 = w1_grid_1d(sim.occupation_measure(), ref)
     assert w1 <= 5e-3
+
+
+# ---------------------------------------------------------------------------
+# the engine against a plain reference: float occupation accumulated with
+# np.add.at over every path of a block, blocks run one after another
+# ---------------------------------------------------------------------------
+
+def _ref_propose(cfg, rng, x):
+    z = ndtri(rng.random(x.size))
+    drift = 0.0 if cfg.drift is None else np.asarray(cfg.drift(x), dtype=float)
+    return x + drift * cfg.dt + np.sqrt(2.0 * cfg.dt) * z
+
+
+def _ref_crossing(d1, d2, dt):
+    with np.errstate(over="ignore"):
+        return np.exp(-np.maximum(d1, 0.0) * np.maximum(d2, 0.0) / dt)
+
+
+def _ref_survives_given(u0, u1, x, xn, a, b, dt):
+    inside = (xn > a) & (xn < b)
+    return (inside & (u0 > _ref_crossing(x - a, xn - a, dt))
+            & (u1 > _ref_crossing(b - x, b - xn, dt)))
+
+
+def _ref_survives(rng, x, xn, a, b, dt):
+    u0 = rng.random(x.size)
+    return _ref_survives_given(u0, rng.random(x.size), x, xn, a, b, dt)
+
+
+def _ref_bin_index(x, a, b, n_bins):
+    return np.clip(((x - a) / (b - a) * n_bins).astype(np.int64), 0, n_bins - 1)
+
+
+def _ref_occupy(occ, rows, x, xn, a, b, dt):
+    n_bins = occ.shape[1]
+    np.add.at(occ, (rows, _ref_bin_index(x, a, b, n_bins)), 0.5 * dt)
+    np.add.at(occ, (rows, _ref_bin_index(xn, a, b, n_bins)), 0.5 * dt)
+
+
+def _ref_block_direct(cfg, block, n, cp_steps):
+    from condemp.mc import _reflect, _rng_for, _sample_initial
+    a, b = cfg.domain.bounds
+    rng = _rng_for(cfg.seed, block)
+    x = _sample_initial(cfg.initial, cfg.domain, rng, n)
+    kill = cfg.boundary_rule == "kill"
+    alive = np.ones(n, dtype=bool)
+    occ = np.zeros((n, cfg.n_bins))
+    cp_counts = {}
+    rows = np.arange(n)
+    for s in range(1, cfg.n_steps() + 1):
+        xn = _ref_propose(cfg, rng, x)
+        if kill:
+            alive &= _ref_survives(rng, x, xn, a, b, cfg.dt)
+            xn = np.where(alive, np.clip(xn, a, b), x)
+        else:
+            xn = _reflect(xn, a, b)
+        _ref_occupy(occ, rows, x, xn, a, b, cfg.dt)
+        x = xn
+        if s in cp_steps:
+            cp_counts[cp_steps[s]] = int(alive.sum())
+    return x, alive, occ, cp_counts
+
+
+def _ref_block_resampled(cfg, block, n, cp_steps):
+    from condemp.mc import _rng_for, _sample_initial
+    a, b = cfg.domain.bounds
+    rng = _rng_for(cfg.seed, block)
+    x = _sample_initial(cfg.initial, cfg.domain, rng, n)
+    occ = np.zeros((n, cfg.n_bins))
+    log_surv = 0.0
+    cp_logs = {}
+    rows = np.arange(n)
+    for s in range(1, cfg.n_steps() + 1):
+        xn = _ref_propose(cfg, rng, x)
+        killed = ~_ref_survives(rng, x, xn, a, b, cfg.dt)
+        nk = int(killed.sum())
+        if nk == n:
+            raise SimulationError("entire population killed in one step; shrink dt")
+        xold = x
+        if nk:
+            survivors = np.flatnonzero(~killed)
+            donors = survivors[(rng.random(nk) * survivors.size).astype(np.int64)]
+            xold = x.copy()
+            xold[killed] = x[donors]
+            xn[killed] = np.clip(_ref_propose(cfg, rng, x[donors]), a + 1e-12, b - 1e-12)
+            occ[killed] = occ[donors]
+        log_surv += np.log1p(-nk / n)
+        _ref_occupy(occ, rows, xold, xn, a, b, cfg.dt)
+        x = xn
+        if s in cp_steps:
+            cp_logs[cp_steps[s]] = log_surv
+    return x, occ, log_surv, cp_logs
+
+
+def _simulate_reference(config):
+    from condemp.mc import BLOCK, PathEnsembleSummary
+    a, b = config.domain.bounds
+    edges = np.linspace(a, b, config.n_bins + 1)
+    widths = np.diff(edges)
+    t = config.horizon
+    cp_steps = {int(round(c / config.dt)): c for c in config.checkpoints}
+    if config.resample:
+        n_isl = config.islands
+        per = config.n_paths // n_isl
+        island_hist = np.empty((n_isl, config.n_bins))
+        finals, log_survs, cp_acc = [], [], {}
+        for isl in range(n_isl):
+            xf, occ, ls, cps = _ref_block_resampled(config, isl, per, cp_steps)
+            island_hist[isl] = occ.mean(axis=0) / t / widths
+            finals.append(xf)
+            log_survs.append(ls)
+            for k, v in cps.items():
+                cp_acc.setdefault(k, []).append(v)
+        return PathEnsembleSummary(
+            config=config, bin_edges=edges, histogram=island_hist.mean(axis=0),
+            stderr=island_hist.std(axis=0, ddof=1) / np.sqrt(n_isl),
+            survival_count=n_isl * per,
+            survival_fraction=float(np.exp(np.mean(log_survs))),
+            effective_sample_size=float(n_isl * per),
+            final_positions=np.concatenate(finals),
+            checkpoint_survival={k: float(np.exp(np.mean(v))) for k, v in cp_acc.items()},
+            island_histograms=island_hist)
+    total_occ = np.zeros(config.n_bins)
+    total_sq = np.zeros(config.n_bins)
+    survivors, finals, surv_occ, cp_counts = 0, [], [], {}
+    remaining, block = config.n_paths, 0
+    while remaining > 0:
+        n = min(BLOCK, remaining)
+        xf, alive, occ, cps = _ref_block_direct(config, block, n, cp_steps)
+        occ_alive = occ[alive] / t
+        survivors += int(alive.sum())
+        finals.append(xf[alive])
+        if occ_alive.size:
+            total_occ += occ_alive.sum(axis=0)
+            total_sq += (occ_alive**2).sum(axis=0)
+            surv_occ.append(occ_alive)
+        for k, v in cps.items():
+            cp_counts[k] = cp_counts.get(k, 0) + v
+        remaining -= n
+        block += 1
+    mean_occ = total_occ / survivors
+    var_occ = np.maximum(total_sq / survivors - mean_occ**2, 0.0)
+    path_occ = np.vstack(surv_occ)[:60000]
+    return PathEnsembleSummary(
+        config=config, bin_edges=edges, histogram=mean_occ / widths,
+        stderr=np.sqrt(var_occ / survivors) / widths, survival_count=survivors,
+        survival_fraction=survivors / config.n_paths,
+        effective_sample_size=float(survivors),
+        final_positions=np.concatenate(finals),
+        checkpoint_survival={k: v / config.n_paths for k, v in cp_counts.items()},
+        path_occupations=path_occ)
+
+
+def _assert_same_summary(got, want):
+    for f in dataclasses.fields(want):
+        g, w = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(w, np.ndarray):
+            assert g.dtype == w.dtype and np.array_equal(g, w), f.name
+        else:
+            assert type(g) is type(w) and g == w, f.name
+
+
+def _drifted_interval():
+    from condemp.domains import Potential
+    xs = np.linspace(0.0, 1.0, 33)
+    return unit_interval(potential=Potential(xs, 1.5 * np.sin(np.pi * xs)))
+
+
+ENGINE_CASES = {
+    "killed-direct-two-blocks": lambda: kill_config(
+        n_paths=BLOCK + 7, horizon=0.05, dt=5e-4, checkpoints=(0.02, 0.05)),
+    "reflecting": lambda: SimulationConfig(
+        domain=unit_interval(boundary=NEUMANN), dt=2e-3, horizon=0.4, n_paths=3000,
+        seed=5, initial=InitialDistribution.from_mu(), boundary_rule="reflect",
+        n_bins=64),
+    "resampled-drift-grid-density": lambda: SimulationConfig(
+        domain=_drifted_interval(), dt=1e-3, horizon=0.3, n_paths=1500, seed=8,
+        initial=InitialDistribution.from_grid_density(
+            np.linspace(0.0, 1.0, 17), 1.0 + np.linspace(0.0, 1.0, 17)),
+        boundary_rule="kill", resample=True, islands=5, checkpoints=(0.1, 0.3)),
+    "point-start": lambda: kill_config(
+        n_paths=5000, horizon=0.2, initial=InitialDistribution.from_point(0.3),
+        checkpoints=(0.1,)),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", list(ENGINE_CASES))
+def test_engine_matches_reference_bitwise(case, workers, monkeypatch):
+    import condemp.mc as mc
+    monkeypatch.setattr(mc, "_workers", lambda n_blocks: min(workers, n_blocks))
+    cfg = ENGINE_CASES[case]()
+    _assert_same_summary(simulate(cfg), _simulate_reference(cfg))
+
+
+def _face_step(ratio, face, dt):
+    """x, xn inside the unit interval with max(d1,0) max(d2,0) / dt == ratio
+    exactly on the given face (searched over a few ulps of xn); the other
+    face is far."""
+    x = 0.25
+    xn = ratio * dt / x
+    for _ in range(200):
+        r = x * xn / dt
+        if r == ratio:
+            break
+        xn = np.nextafter(xn, np.inf if r < ratio else -np.inf)
+    assert x * xn / dt == ratio
+    return (x, xn) if face == 0 else (1.0 - x, 1.0 - xn)
+
+
+@pytest.mark.parametrize("face", [0, 1])
+def test_bridge_test_on_the_uniform_lattice(face):
+    # Generator.random draws k 2^-53; beyond BRIDGE_CUTOFF the crossing
+    # probability exp(-r) lies below 2^-53 and u > p must equal u > 0
+    from condemp.mc import BRIDGE_CUTOFF, _survives
+    dt = 1e-4
+    cut = BRIDGE_CUTOFF
+    ratios = [0.0, 36.0, 36.5, np.nextafter(cut, 0.0), cut, np.nextafter(cut, np.inf),
+              40.0, 800.0]
+    k = np.random.default_rng(11).integers(1, 2**53, 6)
+    levels = np.concatenate([[0.0, 2.0**-53, 2 * 2.0**-53], k * 2.0**-53])
+    x, xn, u_face = [], [], []
+    for r in ratios:
+        if r == 0.0:           # the step lands on the face
+            xs, xns = (0.25, 0.0) if face == 0 else (0.75, 1.0)
+        else:
+            xs, xns = _face_step(r, face, dt)
+        x += [xs] * levels.size
+        xn += [xns] * levels.size
+        u_face.append(levels)
+    x, xn, u_face = np.array(x), np.array(xn), np.concatenate(u_face)
+    u_other = np.full(x.size, 0.5)
+    u0, u1 = (u_face, u_other) if face == 0 else (u_other, u_face)
+    want = _ref_survives_given(u0, u1, x, xn, 0.0, 1.0, dt)
+    assert np.array_equal(_survives(u0, u1, x, xn, 0.0, 1.0, dt), want)
+    # the lowest nonzero level 2^-53 lies below exp(-36.5) but above exp(-37)
+    grid = want.reshape(len(ratios), levels.size)
+    assert not grid[2, 1] and grid[4, 1]
+
+
+def test_visit_counts_beyond_the_smallest_dtype():
+    # one bin, 40000 steps: every path makes 80000 visits, past uint16
+    from condemp.mc import _new_counts
+    cfg = SimulationConfig(domain=unit_interval(boundary=NEUMANN), dt=1e-5, horizon=0.4,
+                           n_paths=32, seed=3, initial=InitialDistribution.from_mu(),
+                           boundary_rule="reflect", n_bins=1)
+    assert cfg.n_steps() == 40_000 and _new_counts(cfg, 1).dtype == np.uint32
+    _assert_same_summary(simulate(cfg), _simulate_reference(cfg))
+
+
+def test_worker_error_reaches_the_caller(monkeypatch):
+    # a population killed in one step raises inside a pool worker; the
+    # caller sees the same SimulationError and no worker is left running
+    import multiprocessing
+
+    import condemp.mc as mc
+    from condemp.domains import Domain
+    monkeypatch.setattr(mc, "_workers", lambda n_blocks: min(2, n_blocks))
+    cfg = SimulationConfig(domain=Domain(kind="interval", bounds=(0.0, 1e-3)), dt=1e-2,
+                           horizon=1.0, n_paths=64, seed=1,
+                           initial=InitialDistribution.from_mu(), boundary_rule="kill",
+                           resample=True, islands=4)
+    with pytest.raises(SimulationError, match="entire population killed") as err:
+        simulate(cfg)
+    assert type(err.value) is SimulationError
+    assert type(err.value.__cause__).__name__ == "_RemoteTraceback"   # raised in a worker
+    assert multiprocessing.active_children() == []
+    simulate(kill_config(n_paths=BLOCK + 7, horizon=0.02, dt=2e-4))
+    assert multiprocessing.active_children() == []

@@ -56,6 +56,35 @@ def test_histogram_quantile_closed_form():
     assert gm.quantile(0.75) == pytest.approx(0.75)
 
 
+def test_quantile_remembers_two_level_arrays(monkeypatch):
+    # w2_quantile_1d alternates a main and a coarse grid on the same measure;
+    # both stay remembered, repeats come back bitwise equal and read-only
+    x = np.linspace(0, 1, 1025)
+    dens = 2.0 * np.sin(np.pi * x) ** 2
+    ua, ub, uc = np.linspace(0.01, 0.99, 300), np.linspace(0.02, 0.98, 200), np.array([0.5])
+    fresh = [GridMeasure(x, dens).quantile(u) for u in (ua, ub)]
+    gm = GridMeasure(x, dens)
+    inverted = []
+    invert = GridMeasure._invert
+    monkeypatch.setattr(GridMeasure, "_invert",
+                        lambda self, u: inverted.append(u.size) or invert(self, u))
+    qa, qb = gm.quantile(ua), gm.quantile(ub)
+    for _ in range(3):
+        assert np.array_equal(gm.quantile(ua.copy()), qa)
+        assert np.array_equal(gm.quantile(list(ub)), qb)
+    assert inverted == [300, 200]
+    assert np.array_equal(qa, fresh[0]) and np.array_equal(qb, fresh[1])
+    assert not qa.flags.writeable and not qb.flags.writeable
+    with pytest.raises(ValueError):
+        qa[0] = 0.0
+    gm.quantile(uc)                   # a third array evicts the oldest
+    gm.quantile(ub)
+    gm.quantile(ua)
+    assert inverted == [300, 200, 1, 300]
+    # same values, other shape: a separate entry with its own shape
+    assert gm.quantile(ua.reshape(20, 15)).shape == (20, 15)
+
+
 # random measures: cells or node spacings, and levels that include 0, 1,
 # the far tails and every node of the CDF table
 widths = st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=40)
