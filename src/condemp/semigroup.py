@@ -310,11 +310,13 @@ def fluctuation_remainder(nu_coeffs, mu_coeffs, basis: SpectralBasis, t: float):
 # reflecting-case mean occupation
 # ---------------------------------------------------------------------------
 
-def mean_empirical_density(nu_coeffs, basis: SpectralBasis, t: float, x=None):
+def mean_empirical_density(nu_coeffs, basis: SpectralBasis, t: float, phi=None):
     """Time-averaged occupation density for the reflecting case, w.r.t. mu.
 
     Valid for a Neumann basis (gap_0 = 0, constant ground mode):
-    1 + sum_{m>=1} nu(phi_m) (1 - e^{-lambda_m t})/(lambda_m t) phi_m.
+    1 + sum_{m>=1} nu(phi_m) (1 - e^{-lambda_m t})/(lambda_m t) phi_m,
+    evaluated where the mode table phi (`basis.eval_modes(x)`) was; by
+    default on the basis grid.  One table serves every t.
     """
     if basis.domain.boundary != NEUMANN:
         raise SeriesError("mean empirical density needs a Neumann basis")
@@ -326,8 +328,7 @@ def mean_empirical_density(nu_coeffs, basis: SpectralBasis, t: float, x=None):
     lam = basis.eigenvalues
     coef = np.zeros(basis.M)
     coef[1:] = nu_c[1:] * (-np.expm1(-lam[1:] * t)) / (lam[1:] * t)
-    phi = basis.eigenfunctions if x is None else basis.eval_modes(x)
-    return 1.0 + coef @ phi
+    return 1.0 + coef @ (basis.eigenfunctions if phi is None else phi)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -51,8 +51,16 @@ class ProjectionError(ValueError):
 
 def gauss_legendre(n: int, a: float, b: float):
     """Gauss-Legendre nodes (strictly interior to (a, b)) and weights."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _legendre_rule(n)
     return 0.5 * (b - a) * (x + 1.0) + a, 0.5 * (b - a) * w
+
+
+@lru_cache(maxsize=16)
+def _legendre_rule(n: int):
+    """numpy's n-point rule on (-1, 1), computed once per n, read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def mode_table(domain: Domain, M: int):
@@ -90,12 +98,12 @@ def _axis_factors(k: np.ndarray, u: np.ndarray, boundary: str, ratio: bool) -> n
     (Neumann).  With ratio, the Dirichlet factor is divided by the ground
     factor, sin(k pi u) / sin(pi u), with its limits filled in at the faces;
     the Neumann ground factor is 1."""
-    if boundary == NEUMANN:
-        vals = np.sqrt(2.0) * np.cos(np.outer(k, np.pi * u))
-        vals[k == 0] = 1.0
+    if boundary == NEUMANN or not ratio:
+        vals = np.outer(k, np.pi * u)
+        (np.cos if boundary == NEUMANN else np.sin)(vals, out=vals)
+        vals *= np.sqrt(2.0)
+        vals[k == 0] = 1.0        # Neumann only: Dirichlet indices start at 1
         return vals
-    if not ratio:
-        return np.sqrt(2.0) * np.sin(np.outer(k, np.pi * u))
     out = np.empty((k.size, u.size))
     inner = (u > 0.0) & (u < 1.0)
     out[:, inner] = np.sin(np.outer(k, np.pi * u[inner])) / np.sin(np.pi * u[inner])

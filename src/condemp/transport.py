@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.special import logsumexp
 
 from .measures import GridMeasure
 from .spectral import SpectralBasis
@@ -39,6 +38,7 @@ ENTROPIC_MAX_NODES = 4096  # atoms per side the entropic route accepts
 BOUNDARY_STRIP = 1e-3      # width of the strip h_minus1_upper_bound reports apart
 DUAL_SEARCH = 32769        # search nodes of the conjugate in the dual lower bound
 FINAL_SWEEPS = 1200        # Sinkhorn sweeps allowed at the final epsilon level
+ABSORB_BOUND = 30.0        # |log| of a Sinkhorn scaling that forces re-absorption
 
 
 class TransportError(ValueError):
@@ -226,26 +226,66 @@ def _sq_cost(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=2)
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")   # sums are checked
 def _sinkhorn_potentials(loga, logb, C, eps, f, g, max_iter, drift_tol, symmetric):
-    """Log-domain Sinkhorn sweeps until the potential drift is below
-    drift_tol; returns the potentials, the sweep count and the last drift."""
+    """Sinkhorn sweeps until the potential drift is below drift_tol; returns
+    the potentials, the sweep count and the last drift.
+
+    Scaling form with absorption (Schmitzer 2019): the potentials f0, g0 of
+    the last absorption sit in K = exp((f0 + g0 - C)/eps), and a half-step is
+    one product of K with a scaling, exp((f - f0)/eps) or exp((g - g0)/eps):
+    the log-domain Gauss-Seidel update in other variables.  The potentials
+    are absorbed again once a scaling leaves exp(+-ABSORB_BOUND).  Once a
+    half-step's sums underflow to 0, or overflow at tiny weights, the rest of
+    the sweep runs in the log domain and the result is absorbed.
+    """
     if f is None:
         f, g = np.zeros(loga.size), np.zeros(logb.size)
+    a, b = np.exp(loga), np.exp(logb)
+    K, f0, g0, u, v = _absorb(f, g, C, eps)
     for it in range(1, max_iter + 1):
+        s = K @ (a * u if symmetric else b * v)
+        log_domain = not np.all((s > 0.0) & (s < np.inf))
         if symmetric:
             # self-transport: averaged update is a contraction to f = g
-            f_new = 0.5 * (f - eps * logsumexp((f[None, :] - C) / eps
-                                               + loga[None, :], axis=1))
-            drift = np.max(np.abs(f_new - f))
-            f = g = f_new
+            f_new = g_new = 0.5 * (f + (_softmin(f / eps + loga, C, eps) if log_domain
+                                        else f0 - eps * np.log(s)))
+            u = np.sqrt(u / s)
         else:
-            f_new = -eps * logsumexp((g[None, :] - C) / eps + logb[None, :], axis=1)
-            g_new = -eps * logsumexp((f_new[:, None] - C) / eps + loga[:, None], axis=0)
-            drift = np.max(np.abs(f_new - f))
-            f, g = f_new, g_new
+            f_new = _softmin(g / eps + logb, C, eps) if log_domain else f0 - eps * np.log(s)
+            u = 1.0 / s
+            r = (a * u) @ K
+            log_domain = log_domain or not np.all((r > 0.0) & (r < np.inf))
+            g_new = (_softmin(f_new / eps + loga, C.T, eps) if log_domain
+                     else g0 - eps * np.log(r))
+            v = 1.0 / r
+        drift = np.max(np.abs(f_new - f))
+        f, g = f_new, g_new
         if drift < drift_tol:
             break
+        if log_domain or max(np.abs(f - f0).max(), np.abs(g - g0).max()) > ABSORB_BOUND * eps:
+            K, f0, g0, u, v = _absorb(f, g, C, eps)
     return f, g, it, drift
+
+
+def _absorb(f, g, C, eps):
+    """The kernel exp((f + g - C)/eps), the potentials in it, unit scalings."""
+    K = np.add.outer(f, g)
+    K -= C
+    K /= eps
+    np.exp(K, out=K)
+    return K, f, g, np.ones(f.size), np.ones(g.size)
+
+
+def _softmin(w, C, eps):
+    """-eps log sum_j exp(w_j - C_ij/eps) for every row i, with the row
+    maximum taken out; a zero weight (w_j = -inf) adds 0."""
+    z = C / -eps
+    z += w
+    m = z.max(axis=1)
+    z -= m[:, None]
+    np.exp(z, out=z)
+    return -eps * (np.log(z.sum(axis=1)) + m)
 
 
 def _ot_eps(a, b, C, eps_schedule, final_drift, symmetric=False):

@@ -4,10 +4,17 @@ import os
 import numpy as np
 import pytest
 
+from condemp import build_analytic_basis, project, unit_interval
 from condemp.cli import main as cli_main
-from condemp.harness import (ConfigError, ExperimentConfig, limit_report, mu0_measure,
-                             run_convergence, run_mc_crosscheck, run_sandwich)
+from condemp.domains import NEUMANN
+from condemp.harness import (ConfigError, ExperimentConfig, _occupation_measures,
+                             limit_report, mu0_measure, run_convergence,
+                             run_mc_crosscheck, run_sandwich)
 from condemp.limits import LimitError
+from condemp.measures import GridMeasure, InitialDistribution
+from condemp.semigroup import mean_empirical_density
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 BASE_CONFIG = {
     "version": "1",
@@ -207,6 +214,30 @@ def test_convergence_neumann(tmp_path):
     target = 2.0 / 945.0
     assert report.limit.I_value == pytest.approx(target, rel=1e-4)
     assert abs(report.rows[-1]["rel_gap"]) < 0.05
+
+
+def test_occupation_measures_share_one_mode_table():
+    # one table for every t gives each t's density bitwise as a table of its own
+    basis = build_analytic_basis(unit_interval(boundary=NEUMANN), 512)
+    nu_c = project(InitialDistribution.from_point(0.0), basis)
+    times, x = [4.0, 8.0, 16.0], np.linspace(0.0, 1.0, 8193)
+    for t, got in zip(times, _occupation_measures(nu_c, basis, times, x.size)):
+        own = np.maximum(mean_empirical_density(nu_c, basis, t, basis.eval_modes(x)), 0.0)
+        expected = GridMeasure.normalized(x, own * basis.mu_lebesgue_at(x))
+        assert np.array_equal(got.lebesgue_density, expected.lebesgue_density)
+
+
+def test_mc_declared_error_covers_at_benchmark_size():
+    # 16384 paths and 8 islands on the shipped MC config; on seed 210 the raw
+    # W2 was 1.13 times its declared 3 bootstrap SEs before the noise floor
+    with open(os.path.join(CONFIGS, "mc_crosscheck.json")) as fh:
+        doc = json.load(fh)
+    doc.update(seed=210, out=None)
+    doc["mc"].update(n_paths=16384, islands=8, slope_times=[0.1, 0.2, 0.3, 0.4])
+    out = run_mc_crosscheck(ExperimentConfig.from_dict(doc))
+    assert out["w2_occupation"] <= 3.0 * out["w2_bootstrap_se"]
+    assert out["w2_occupation"] ** 2 == pytest.approx(
+        out["w2_occupation_raw"] ** 2 - out["w2_noise_floor"], rel=1e-12)
 
 
 def test_sandwich_row(tmp_path):

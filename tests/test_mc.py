@@ -8,10 +8,10 @@ from condemp import (build_analytic_basis, mu_coefficients, project,
                      unit_interval)
 from condemp.domains import NEUMANN
 from condemp.measures import GridMeasure, InitialDistribution
-from condemp.mc import (BLOCK, SimulationConfig, SimulationError,
+from condemp.mc import (BLOCK, PathEnsembleSummary, SimulationConfig, SimulationError,
                         conditional_empirical_w2, simulate)
 from condemp.semigroup import survival_probability
-from condemp.transport import w1_grid_1d
+from condemp.transport import w1_grid_1d, w2_quantile_1d
 
 PI2 = np.pi**2
 
@@ -126,6 +126,33 @@ def test_conditional_w2_self_reference_zero():
     res, se = conditional_empirical_w2(sim, sim.occupation_measure(),
                                        n_bootstrap=50)
     assert res.w2 <= 1e-10
+
+
+def test_conditional_w2_subtracts_its_noise_floor():
+    # islands are the reference's bin densities plus i.i.d. noise: raw W2^2
+    # sits a noise floor above the noise-free W2^2, and raw - floor does not
+    x = np.linspace(0.0, 1.0, 2049)
+    reference = GridMeasure.normalized(x, 1.0 + 0.5 * np.cos(np.pi * x))
+    edges = np.linspace(0.0, 1.0, 65)
+    exact = np.diff(reference.cdf(edges)) / np.diff(edges)
+    noise_free = w2_quantile_1d(GridMeasure.from_histogram(edges, exact * np.diff(edges)),
+                                reference, n_quantiles=20_000).w2_squared
+    rng = np.random.default_rng(8)
+    raw, debiased = [], []
+    for rep in range(40):
+        islands = exact + 0.05 * rng.standard_normal((16, exact.size))
+        summary = PathEnsembleSummary(
+            config=kill_config(seed=rep, resample=True, n_bins=64, islands=16),
+            bin_edges=edges, histogram=islands.mean(axis=0), stderr=np.zeros(64),
+            survival_count=16_000, survival_fraction=1.0,
+            effective_sample_size=16_000.0, final_positions=np.empty(0),
+            island_histograms=islands)
+        res, _ = conditional_empirical_w2(summary, reference, n_bootstrap=2)
+        raw.append(res.details["w2_raw"] ** 2)
+        debiased.append(raw[-1] - res.details["noise_floor"])
+    se = np.std(debiased, ddof=1) / np.sqrt(len(debiased))
+    assert abs(np.mean(debiased) - noise_free) <= 3.0 * se
+    assert np.mean(raw) - noise_free > 5.0 * se
 
 
 def test_conditional_w2_needs_survivors():

@@ -7,7 +7,8 @@ from condemp import (build_analytic_basis, mu_coefficients, project,
                      solve_sturm_liouville, unit_interval)
 from condemp.domains import DIRICHLET, NEUMANN, Domain, DomainError, Potential, rectangle
 from condemp.measures import InitialDistribution
-from condemp.spectral import BasisError, ProjectionError, SpectralBasis
+from condemp.spectral import (BasisError, ProjectionError, SpectralBasis, _axis_factors,
+                              _legendre_rule, gauss_legendre)
 
 PI2 = np.pi**2
 
@@ -32,6 +33,46 @@ def test_neumann_interval_closed_form():
 def test_orthonormality_fifty_modes_400_nodes():
     basis = build_analytic_basis(unit_interval(), 50, n_quad=400)
     assert basis.orthonormality_residual() <= 1e-10
+
+
+@pytest.mark.parametrize("n", [12, 576, 2112])
+def test_gauss_legendre_is_numpy_rule_scaled(n):
+    x, w = np.polynomial.legendre.leggauss(n)
+    a, b = -0.25, 1.5
+    nodes, weights = gauss_legendre(n, a, b)
+    assert np.array_equal(nodes, 0.5 * (b - a) * (x + 1.0) + a)
+    assert np.array_equal(weights, 0.5 * (b - a) * w)
+    for raw in _legendre_rule(n):
+        assert not raw.flags.writeable
+    assert nodes.flags.writeable and weights.flags.writeable
+
+
+@pytest.mark.parametrize("boundary, M", [(DIRICHLET, 128), (NEUMANN, 512)])
+def test_repeated_basis_builds_are_identical(boundary, M):
+    first, second = (build_analytic_basis(unit_interval(boundary=boundary), M)
+                     for _ in range(2))
+    for field_name in ("grid", "weights", "eigenfunctions"):
+        assert np.array_equal(getattr(first, field_name), getattr(second, field_name))
+
+
+@pytest.mark.parametrize("boundary, ratio", [(DIRICHLET, False), (NEUMANN, False),
+                                             (DIRICHLET, True)])
+def test_axis_factors_bitwise(boundary, ratio):
+    # both faces included; each factor written as the plain expression
+    u = np.linspace(0.0, 1.0, 8193)
+    k = np.arange(1, 129) if boundary == DIRICHLET else np.arange(128)
+    arg = np.outer(k, np.pi * u)
+    if boundary == NEUMANN:
+        expected = np.sqrt(2.0) * np.cos(arg)
+        expected[k == 0] = 1.0
+    elif not ratio:
+        expected = np.sqrt(2.0) * np.sin(arg)
+    else:
+        expected = np.empty_like(arg)
+        expected[:, 1:-1] = np.sin(arg[:, 1:-1]) / np.sin(np.pi * u[1:-1])
+        expected[:, 0] = k
+        expected[:, -1] = k * (-1.0) ** (k + 1)
+    assert np.array_equal(_axis_factors(k, u, boundary, ratio), expected)
 
 
 def test_reject_bad_inputs():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,11 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import linprog
+from scipy.special import logsumexp
 
-from condemp import (build_analytic_basis, mu_coefficients, project,
+from condemp import (build_analytic_basis, harness, mu_coefficients, project, transport,
                      unit_interval)
+from condemp.domains import NEUMANN
 from condemp.measures import GridMeasure, InitialDistribution
 from condemp.semigroup import conditional_density, rho_tilde
 from condemp.transport import (DUAL_SEARCH, TransportError, h_minus1_upper_bound,
@@ -263,6 +267,139 @@ def test_entropic_tensorization_rectangle():
     per_axis = (w2_quantile_1d(mx1, mx2, 20000).w2_squared
                 + w2_quantile_1d(my1, my2, 20000).w2_squared)
     assert ent.w2_squared == pytest.approx(per_axis, abs=ent.error_estimate + 5e-4)
+
+
+def _sinkhorn_reference(loga, logb, C, eps, f, g, max_iter, drift_tol, symmetric):
+    """The log-domain sweep written term by term through scipy's logsumexp,
+    with the same drift test and return values as the route's scaling sweep."""
+    if f is None:
+        f, g = np.zeros(loga.size), np.zeros(logb.size)
+    for it in range(1, max_iter + 1):
+        if symmetric:
+            f_new = 0.5 * (f - eps * logsumexp((f[None, :] - C) / eps
+                                               + loga[None, :], axis=1))
+            drift = np.max(np.abs(f_new - f))
+            f = g = f_new
+        else:
+            f_new = -eps * logsumexp((g[None, :] - C) / eps + logb[None, :], axis=1)
+            g_new = -eps * logsumexp((f_new[:, None] - C) / eps + loga[:, None], axis=0)
+            drift = np.max(np.abs(f_new - f))
+            f, g = f_new, g_new
+        if drift < drift_tol:
+            break
+    return f, g, it, drift
+
+
+def _sweep_case(name):
+    """Atoms, weights and whether the problem is self-transport."""
+    rng = np.random.default_rng(11)
+    if name == "cross":
+        x, y = np.sort(rng.uniform(0.0, 1.0, 90)), np.sort(rng.uniform(0.1, 1.3, 130))
+        return x, rng.uniform(0.1, 1.0, x.size), y, rng.uniform(0.1, 1.0, y.size), False
+    if name == "self":
+        x = np.sort(rng.uniform(0.0, 1.0, 120))
+        a = rng.uniform(0.1, 1.0, x.size)
+        return x, a, x, a, True
+    if name == "zero_weights":
+        x, a, b = _zero_weight_bumps()
+        return x, a, x, b, False
+    x, y = rng.uniform(0.0, 1.0, (64, 2)), rng.uniform(0.2, 1.1, (81, 2))
+    return x, rng.uniform(0.1, 1.0, 64), y, rng.uniform(0.1, 1.0, 81), False
+
+
+def _sweep_levels(monkeypatch, sweep, case, eps_target):
+    """Every level's (f, g, sweeps, drift) of one epsilon schedule run through
+    `_ot_eps` with the given sweep, and whether the last level raised."""
+    x, a, y, b, symmetric = _sweep_case(case)
+    a, b = a / a.sum(), b / b.sum()
+    C = transport._sq_cost(x, y)
+    levels = []
+
+    def recorded(*args, **kwargs):
+        levels.append(sweep(*args, **kwargs))
+        return levels[-1]
+
+    monkeypatch.setattr(transport, "_sinkhorn_potentials", recorded)
+    schedule = np.geomspace(C.max() / 4, eps_target, 12)
+    try:
+        transport._ot_eps(a, b, C, schedule, 1e-5 * eps_target, symmetric)
+    except TransportError:
+        return levels, True
+    return levels, False
+
+
+@pytest.mark.parametrize("eps_target", [3e-3, 2e-5])
+@pytest.mark.parametrize("case", ["cross", "self", "zero_weights", "rectangle"])
+def test_sinkhorn_sweep_matches_reference(monkeypatch, case, eps_target):
+    # every case converges at 3e-3; at 2e-5 the cross and rectangle cases
+    # exhaust FINAL_SWEEPS and raise
+    scaled = transport._sinkhorn_potentials
+    got, got_raised = _sweep_levels(monkeypatch, scaled, case, eps_target)
+    ref, ref_raised = _sweep_levels(monkeypatch, _sinkhorn_reference, case, eps_target)
+    assert got_raised == ref_raised
+    assert len(got) == len(ref)
+    for (f, g, n, _), (f_ref, g_ref, n_ref, _) in zip(got, ref):
+        assert n == n_ref
+        for p, p_ref in ((f, f_ref), (g, g_ref)):
+            assert np.all(np.isfinite(p))
+            assert np.max(np.abs(p - p_ref)) <= 1e-12 * np.max(np.abs(p_ref))
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_sinkhorn_log_domain_fallback(monkeypatch, symmetric):
+    # a cold start at eps 1e-4 on supports 0.4 apart: every entry of the first
+    # kernel exp(-C/eps) underflows to 0, so the half-steps fall back to the
+    # log domain until an absorption brings the sums back
+    rng = np.random.default_rng(3)
+    x = np.sort(rng.uniform(0.0, 0.3, 70))
+    y = x if symmetric else np.sort(rng.uniform(0.7, 1.0, 50))
+    C = transport._sq_cost(x, y)
+    if not symmetric:
+        assert np.all(np.exp(-C / 1e-4) == 0.0)
+    loga = np.log(np.full(x.size, 1.0 / x.size))
+    logb = np.log(np.full(y.size, 1.0 / y.size))
+    args = (loga, logb, C, 1e-4, None, None, 400, 1e-9, symmetric)
+    ref = _sinkhorn_reference(*args)
+    calls = []
+    softmin = transport._softmin
+    monkeypatch.setattr(transport, "_softmin",
+                        lambda *a, **k: calls.append(1) or softmin(*a, **k))
+    got = transport._sinkhorn_potentials(*args)
+    assert bool(calls) == (not symmetric)      # a self kernel keeps its diagonal
+    assert got[2] == ref[2]
+    for p, p_ref in zip(got[:2], ref[:2]):
+        assert np.all(np.isfinite(p))
+        assert np.max(np.abs(p - p_ref)) <= 1e-12 * np.max(np.abs(p_ref))
+
+
+def test_entropic_matches_reference_sweep_end_to_end(monkeypatch):
+    # the reflecting delta_0 start at t = 4, as the neumann_delta0 config builds it
+    basis = build_analytic_basis(unit_interval(boundary=NEUMANN), 512)
+    nu_c = project(InitialDistribution.from_point(0.0), basis)
+    mt = harness.mean_occupation_measure(nu_c, basis, 4.0, 8193)
+    ref_measure = harness.mu0_measure(basis, 8193)
+    got = w2_entropic(mt, ref_measure)
+    monkeypatch.setattr(transport, "_sinkhorn_potentials", _sinkhorn_reference)
+    ref = w2_entropic(mt, ref_measure)
+    assert got.details["iterations"] == ref.details["iterations"]
+    assert got.w2_squared == pytest.approx(ref.w2_squared, rel=1e-12, abs=0)
+    assert got.error_estimate == pytest.approx(ref.error_estimate, rel=1e-12, abs=0)
+
+
+def test_sinkhorn_sweep_memory():
+    # at the 4096-atom cap one cost matrix is 128 MiB; a cross sweep holds
+    # one absorbed kernel and no N x M array per step
+    rng = np.random.default_rng(5)
+    C = transport._sq_cost(rng.uniform(0.0, 1.0, 1024), rng.uniform(0.2, 1.2, 1024))
+    loga = logb = np.full(1024, -np.log(1024.0))
+    tracemalloc.start()
+    try:
+        transport._sinkhorn_potentials(loga, logb, C, 1e-2, None, None, max_iter=3,
+                                       drift_tol=0.0, symmetric=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * C.nbytes
 
 
 # ---------------------------------------------------------------------------
