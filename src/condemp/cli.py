@@ -14,8 +14,8 @@ import os
 import sys
 
 from .harness import (ConfigError, ExperimentConfig, interval_basis, limit_report,
-                      mu0_measure, resolve_nu, run_convergence, run_mc_crosscheck,
-                      run_sandwich, spectral_measure, w2_by_method)
+                      resolve_nu, run_convergence, run_mc_crosscheck, run_sandwich,
+                      run_w2)
 from .semigroup import conditional_density, export_density_csv
 from .spectral import mu_coefficients, project
 
@@ -68,7 +68,7 @@ def cmd_density(args) -> int:
     basis = interval_basis(cfg, "density")
     nu = resolve_nu(cfg.nu_spec, basis)
     for t in ([args.t] if args.t is not None else cfg.times):
-        cd = conditional_density(nu, basis, float(t), target_tol=cfg.tol)
+        cd = conditional_density(nu, basis, float(t))
         path = os.path.join(cfg.out, f"density_t{float(t):g}.csv")
         export_density_csv(cd, path)
         print(f"density: t={t:g} mass={cd.mass:.9f} min={cd.min_value:.3e} "
@@ -88,19 +88,16 @@ def cmd_limit(args) -> int:
 
 def cmd_w2(args) -> int:
     cfg = _load(args)
-    basis = interval_basis(cfg, "w2")
-    nu = resolve_nu(cfg.nu_spec, basis)
     t = float(args.t if args.t is not None else cfg.times[0])
-    cd = conditional_density(nu, basis, t, target_tol=cfg.tol)
-    res = w2_by_method(cfg.w2_method, spectral_measure(cd, basis, cfg.grid_nodes),
-                       mu0_measure(basis, cfg.grid_nodes), cfg.n_quantiles)
-    doc = {"t": t, "w2": res.w2, "w2_squared": res.w2_squared,
-           "method": res.method, "error_estimate": res.error_estimate,
-           "tail_bound": cd.truncation.tail_estimate, "seed": cfg.seed}
+    row = run_w2(cfg, t)
+    doc = {"t": t, "w2": row["w2"], "w2_squared": row["w2sq"],
+           "method": cfg.w2_method, "error_estimate": row["w2_error"],
+           "tail_bound": row["tail_bound"], "seed": cfg.seed}
     path = os.path.join(cfg.out, f"w2_t{t:g}.json")
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
-    print(f"w2: t={t:g} {res.method} w2={res.w2:.9e} err<={res.error_estimate:.2e} -> {path}")
+    print(f"w2: t={t:g} {cfg.w2_method} w2={row['w2']:.9e} "
+          f"err<={row['w2_error']:.2e} -> {path}")
     return 0
 
 

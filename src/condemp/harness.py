@@ -11,7 +11,7 @@ import csv
 import json
 import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .transport import (atomization_error, h_minus1_upper_bound,
                         w2_exact_discrete, w2_quantile_1d)
 
 __all__ = ["ConfigError", "ExperimentConfig", "ConvergenceReport",
-           "run_convergence", "run_sandwich", "run_mc_crosscheck",
+           "run_convergence", "killed_row", "run_w2", "run_sandwich", "run_mc_crosscheck",
            "limit_report", "w2_by_method", "interval_basis",
            "spectral_measure", "mu0_measure", "resolve_nu"]
 
@@ -316,31 +316,30 @@ def limit_report(config: ExperimentConfig, basis: SpectralBasis) -> LimitReport:
 
 
 def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
-    """t^2 W2(mu_t, limit)^2 against the eigenseries constant, per time."""
+    """t^2 W2(mu_t, limit)^2 against the eigenseries constant, per time.
+    Killed rows also carry their certified sandwich (`killed_row`)."""
     basis = interval_basis(config, "converge")
     boundary = basis.domain.boundary
     limit = limit_report(config, basis)
-    nu = resolve_nu(config.nu_spec, basis)
     if boundary == NEUMANN:
-        occupations = _occupation_measures(project(nu, basis), basis, config.times,
-                                           config.grid_nodes)
+        occupations = _occupation_measures(project(resolve_nu(config.nu_spec, basis), basis),
+                                           basis, config.times, config.grid_nodes)
     reference = mu0_measure(basis, config.grid_nodes)   # Neumann: phi_0 = 1, this is mu
     rows = []
     for k, t in enumerate(config.times):
         if boundary == NEUMANN:
-            mt = occupations[k]
-            tail = limit.tail_bound
+            res = w2_by_method(config.w2_method, occupations[k], reference, config.n_quantiles)
+            kr = {"w2": res.w2, "w2sq": res.w2_squared, "w2_error": res.error_estimate,
+                  "tail_bound": limit.tail_bound}
         else:
-            cd = conditional_density(nu, basis, t, target_tol=config.tol)
-            mt = spectral_measure(cd, basis, config.grid_nodes)
-            tail = cd.truncation.tail_estimate
-        res = w2_by_method(config.w2_method, mt, reference, config.n_quantiles)
-        t2w2 = t * t * res.w2_squared
+            kr = killed_row(config, basis, t, reference)
+        t2w2 = t * t * kr["w2sq"]
         rows.append({
-            "t": t, "w2": res.w2, "t2w2sq": t2w2, "I": limit.I_value,
+            "t": t, "w2": kr["w2"], "t2w2sq": t2w2, "I": limit.I_value,
             "rel_gap": t2w2 / limit.I_value - 1.0 if limit.I_value else np.nan,
-            "method": res.method, "w2_error": res.error_estimate,
-            "tail_bound": tail, "modes": basis.M, "seed": config.seed,
+            "method": config.w2_method, "w2_error": kr["w2_error"],
+            "tail_bound": kr["tail_bound"], "modes": basis.M, "seed": config.seed,
+            **{key: kr[key] for key in ("lower", "upper", "ordered") if key in kr},  # killed
         })
 
     gaps = np.array([abs(r["rel_gap"]) for r in rows])
@@ -363,48 +362,48 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
 
 
 # ---------------------------------------------------------------------------
-# sandwich report
+# the killed row: W2 at one t with its certified sandwich
 # ---------------------------------------------------------------------------
 
-def run_sandwich(config: ExperimentConfig, t: float) -> dict:
-    """One row: certified lower bound <= W2^2 <= weighted-H^-1 upper bound."""
-    basis = interval_basis(config, "sandwich")
+def killed_row(config: ExperimentConfig, basis: SpectralBasis, t: float,
+               reference: GridMeasure) -> dict:
+    """W2(h_t mu_0, mu_0) by the config's route, with a certified lower bound
+    (Kantorovich dual, potential from the leading 1/t fluctuation) and the
+    weighted-H^-1 upper bound; `reference` is `mu0_measure` of the basis.
+    `ordered` states lower <= W2^2 <= upper within the declared errors."""
     nu = resolve_nu(config.nu_spec, basis)
-    cd = conditional_density(nu, basis, t, target_tol=config.tol)
+    cd = conditional_density(nu, basis, t)
     mt = spectral_measure(cd, basis, config.grid_nodes)
-    m0 = mu0_measure(basis, config.grid_nodes)
-    res = w2_quantile_1d(mt, m0, n_quantiles=config.n_quantiles)
+    res = w2_by_method(config.w2_method, mt, reference, config.n_quantiles)
     upper = h_minus1_upper_bound(cd.grid_values, basis)
 
-    mu_c = mu_coefficients(basis)
-    nu_c = project(nu, basis)
-    rt = rho_tilde(nu_c, mu_c, basis, t)
-    gaps = basis.gaps.copy()
-    gaps[0] = 1.0
-    f_coeffs = rt.coeffs / gaps
-    f_coeffs[0] = 0.0
-    a, b = basis.domain.bounds[:2]
-    xs = np.linspace(a, b, 4097)
-    f_vals = f_coeffs @ basis.eval_ratio(xs)
-    lower = kantorovich_dual_lower(mt, m0, f_vals, f_nodes=xs)
+    rt = rho_tilde(project(nu, basis), mu_coefficients(basis), basis, t)
+    f_coeffs = np.zeros(basis.M)
+    f_coeffs[1:] = rt.coeffs[1:] / basis.gaps[1:]
+    xs = np.linspace(*basis.domain.bounds[:2], 4097)
+    lower = kantorovich_dual_lower(mt, reference, f_coeffs @ basis.eval_ratio(xs), f_nodes=xs)
 
-    tol_combined = res.error_estimate + 1e-14 + abs(upper["coefficient_tail"])
-    row = {
-        "t": t,
-        "lower": lower["lower_bound"],
-        "w2sq": res.w2_squared,
-        "upper": upper["upper_bound"],
-        "w2": res.w2,
-        "w2_error": res.error_estimate,
-        "lower_slack": lower["conjugation_slack"],
-        "upper_strip": upper["boundary_strip"],
-        "excluded_nodes": upper["excluded_nodes"],
-        "ordered": bool(lower["lower_bound"] <= res.w2_squared + tol_combined
-                        and res.w2_squared <= upper["upper_bound"] + tol_combined),
-        "modes": basis.M,
-        "tail_bound": cd.truncation.tail_estimate,
-        "seed": config.seed,
-    }
+    tol = res.error_estimate + 1e-14 + abs(upper["coefficient_tail"])
+    ordered = (lower["lower_bound"] <= res.w2_squared + tol
+               and res.w2_squared <= upper["upper_bound"] + tol)
+    return {"t": t, "lower": lower["lower_bound"], "w2sq": res.w2_squared,
+            "upper": upper["upper_bound"], "w2": res.w2, "w2_error": res.error_estimate,
+            "lower_slack": lower["conjugation_slack"], "upper_strip": upper["boundary_strip"],
+            "excluded_nodes": upper["excluded_nodes"], "ordered": bool(ordered),
+            "modes": basis.M, "tail_bound": cd.truncation.tail_estimate, "seed": config.seed}
+
+
+def run_w2(config: ExperimentConfig, t: float) -> dict:
+    """`killed_row` at one t against the config's own basis and mu_0."""
+    basis = interval_basis(config, "w2")
+    return killed_row(config, basis, t, mu0_measure(basis, config.grid_nodes))
+
+
+def run_sandwich(config: ExperimentConfig, t: float) -> dict:
+    """The quantile-route killed row at one t; raises unless it is ordered."""
+    basis = interval_basis(config, "sandwich")
+    row = killed_row(replace(config, w2_method="quantile1d"), basis, t,
+                     mu0_measure(basis, config.grid_nodes))
     if not row["ordered"]:
         raise RuntimeError(f"sandwich ordering violated beyond tolerances: {row}")
     if config.out:
@@ -470,7 +469,7 @@ def run_mc_crosscheck(config: ExperimentConfig) -> dict:
     out["resample"] = resample
     out["expected_survival"] = float(expected)
 
-    cd = conditional_density(nu, basis, horizon, target_tol=config.tol)
+    cd = conditional_density(nu, basis, horizon)
     ref = spectral_measure(cd, basis, config.grid_nodes)
     occ = occ_sim.occupation_measure()
     out["w1_occupation"] = w1_grid_1d(occ, ref)

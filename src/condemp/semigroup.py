@@ -48,7 +48,6 @@ class SeriesTruncation:
 
     M: int
     tail_estimate: float
-    target_tol: float
 
 
 def _coeff_envelope(coeffs: np.ndarray):
@@ -157,8 +156,8 @@ class ConditionalDensity:
         return vals - 1.0
 
 
-def conditional_density(nu: InitialDistribution, basis: SpectralBasis, t: float,
-                        target_tol: float = 1e-8) -> ConditionalDensity:
+def conditional_density(nu: InitialDistribution, basis: SpectralBasis,
+                        t: float) -> ConditionalDensity:
     """h_t for the conditional time-averaged occupation, as an eigenseries.
 
     h_t = 1 + (S - t Z)/(t Z) with S the double series
@@ -189,7 +188,7 @@ def conditional_density(nu: InitialDistribution, basis: SpectralBasis, t: float,
     mass = basis.integrate_mu0(h)
     hmin = float(np.min(h))
     tail = _rho_tail_bound(nu_c, mu_c, basis, t, Z, nu_l2=nu_l2)
-    trunc = SeriesTruncation(M=basis.M, tail_estimate=tail, target_tol=target_tol)
+    trunc = SeriesTruncation(M=basis.M, tail_estimate=tail)
     cd = ConditionalDensity(
         t=t, grid_values=h, normalization=Z, truncation=trunc, basis=basis,
         bilinear=C, mass=mass, min_value=hmin)

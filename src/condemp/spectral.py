@@ -98,18 +98,17 @@ def _axis_factors(k: np.ndarray, u: np.ndarray, boundary: str, ratio: bool) -> n
     (Neumann).  With ratio, the Dirichlet factor is divided by the ground
     factor, sin(k pi u) / sin(pi u), with its limits filled in at the faces;
     the Neumann ground factor is 1."""
+    vals = np.outer(k, np.pi * u)          # one table, transformed in place
+    (np.cos if boundary == NEUMANN else np.sin)(vals, out=vals)
     if boundary == NEUMANN or not ratio:
-        vals = np.outer(k, np.pi * u)
-        (np.cos if boundary == NEUMANN else np.sin)(vals, out=vals)
         vals *= np.sqrt(2.0)
         vals[k == 0] = 1.0        # Neumann only: Dirichlet indices start at 1
         return vals
-    out = np.empty((k.size, u.size))
-    inner = (u > 0.0) & (u < 1.0)
-    out[:, inner] = np.sin(np.outer(k, np.pi * u[inner])) / np.sin(np.pi * u[inner])
-    out[:, u <= 0.0] = k[:, None]
-    out[:, u >= 1.0] = (k * (-1.0) ** (k + 1))[:, None]
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals /= np.sin(np.pi * u)
+    vals[:, u <= 0.0] = k[:, None]
+    vals[:, u >= 1.0] = (k * (-1.0) ** (k + 1))[:, None]
+    return vals
 
 
 def _tensor_modes(domain: Domain, idx: np.ndarray, x, ratio: bool) -> np.ndarray:

@@ -500,8 +500,12 @@ def _lower_hull(x, y):
 
     A vertex is dropped while the edge to the next point is no steeper than
     the edge into it, so the returned slopes strictly increase as computed
-    in floating point and can be searched.
+    in floating point and can be searched.  When the consecutive slopes
+    already do, every point is a vertex and the chain would drop none.
     """
+    slopes = np.diff(y) / np.diff(x)      # the chain's own operations
+    if np.all(slopes[1:] > slopes[:-1]):
+        return np.arange(x.size), slopes
     xl, yl = x.tolist(), y.tolist()
     hull, slopes = [0], []
     for i in range(1, len(xl)):

@@ -1,5 +1,8 @@
+import csv
+import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -9,12 +12,13 @@ from condemp.cli import main as cli_main
 from condemp.domains import NEUMANN
 from condemp.harness import (ConfigError, ExperimentConfig, _occupation_measures,
                              limit_report, mu0_measure, run_convergence,
-                             run_mc_crosscheck, run_sandwich)
+                             run_mc_crosscheck, run_sandwich, run_w2)
 from condemp.limits import LimitError
 from condemp.measures import GridMeasure, InitialDistribution
 from condemp.semigroup import mean_empirical_density
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 BASE_CONFIG = {
     "version": "1",
@@ -192,9 +196,14 @@ def test_convergence_report_files(tmp_path):
     report = run_convergence(cfg)
     data = json.loads((out / "convergence.json").read_text())
     assert data["schema"] == "condemp.convergence/1"
-    csv_lines = (out / "convergence.csv").read_text().splitlines()
-    assert csv_lines[0].startswith("t,w2,t2w2sq,I,rel_gap")
-    assert len(csv_lines) == 3
+    # the header is the README's column list, and a killed run fills every cell
+    with open(README) as fh:
+        listed = re.search(r"CSV columns, in order:\s*`([^`]+)`", fh.read()).group(1)
+    with open(out / "convergence.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == [c.strip() for c in listed.split(",")]
+    assert len(rows) == 2
+    assert all(cell != "" for row in rows for cell in row)
 
 
 def test_convergence_deterministic(tmp_path):
@@ -214,6 +223,9 @@ def test_convergence_neumann(tmp_path):
     target = 2.0 / 945.0
     assert report.limit.I_value == pytest.approx(target, rel=1e-4)
     assert abs(report.rows[-1]["rel_gap"]) < 0.05
+    # no h_t, so no sandwich: the rows carry no bounds
+    for row in report.rows:
+        assert not {"lower", "upper", "ordered"} & set(row)
 
 
 def test_occupation_measures_share_one_mode_table():
@@ -238,6 +250,23 @@ def test_mc_declared_error_covers_at_benchmark_size():
     assert out["w2_occupation"] <= 3.0 * out["w2_bootstrap_se"]
     assert out["w2_occupation"] ** 2 == pytest.approx(
         out["w2_occupation_raw"] ** 2 - out["w2_noise_floor"], rel=1e-12)
+
+
+def test_killed_rows_carry_their_sandwich(tmp_path):
+    cfg = ExperimentConfig.load(write_config(tmp_path))
+    for row in run_convergence(cfg).rows:
+        assert row["ordered"] is True
+        assert row["lower"] <= row["w2"] ** 2 + row["w2_error"]
+        assert row["w2"] ** 2 <= row["upper"] + row["w2_error"]
+
+
+def test_sandwich_is_the_quantile_converge_row(tmp_path):
+    # the sandwich takes the quantile route whatever the config's route is
+    cfg = ExperimentConfig.load(write_config(tmp_path, times=[2.0]))
+    row = run_convergence(cfg).rows[0]
+    sw = run_sandwich(dataclasses.replace(cfg, w2_method="exact-discrete"), 2.0)
+    assert (sw["lower"], sw["upper"], sw["w2"]) == (row["lower"], row["upper"], row["w2"])
+    assert sw["ordered"] == row["ordered"]
 
 
 def test_sandwich_row(tmp_path):
@@ -329,6 +358,13 @@ def test_cli_basis_limit_density(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "w2_t2.json"))
     doc = json.loads(open(os.path.join(out, "limit.json")).read())
     assert doc["positive"] is True
+    w2doc = json.loads(open(os.path.join(out, "w2_t2.json")).read())
+    assert list(w2doc) == ["t", "w2", "w2_squared", "method", "error_estimate",
+                           "tail_bound", "seed"]
+    row = run_w2(ExperimentConfig.load(cfg_path), 2.0)
+    assert [w2doc[k] for k in ("w2", "w2_squared", "error_estimate", "tail_bound")] == \
+        [row[k] for k in ("w2", "w2sq", "w2_error", "tail_bound")]
+    assert (w2doc["t"], w2doc["method"], w2doc["seed"]) == (2.0, "quantile1d", 777)
 
 
 def test_cli_converge_and_overrides(tmp_path, capsys):

@@ -8,7 +8,7 @@ from condemp import (build_analytic_basis, mu_coefficients, project,
 from condemp.domains import DIRICHLET, NEUMANN, Domain, DomainError, Potential, rectangle
 from condemp.measures import InitialDistribution
 from condemp.spectral import (BasisError, ProjectionError, SpectralBasis, _axis_factors,
-                              _legendre_rule, gauss_legendre)
+                              _legendre_rule, gauss_legendre, mode_table)
 
 PI2 = np.pi**2
 
@@ -73,6 +73,32 @@ def test_axis_factors_bitwise(boundary, ratio):
         expected[:, 0] = k
         expected[:, -1] = k * (-1.0) ** (k + 1)
     assert np.array_equal(_axis_factors(k, u, boundary, ratio), expected)
+
+
+def _ratio_factors_reference(k, u):
+    """The Dirichlet ratio table as it was built before it was built in
+    place: interior columns, then each face."""
+    out = np.empty((k.size, u.size))
+    inner = (u > 0.0) & (u < 1.0)
+    out[:, inner] = np.sin(np.outer(k, np.pi * u[inner])) / np.sin(np.pi * u[inner])
+    out[:, u <= 0.0] = k[:, None]
+    out[:, u >= 1.0] = (k * (-1.0) ** (k + 1))[:, None]
+    return out
+
+
+def test_ratio_factors_in_place_bitwise():
+    k = np.arange(1, 129)
+    cases = [("both faces", k, np.linspace(0.0, 1.0, 8193)),
+             ("interior only", k, gauss_legendre(577, 0.0, 1.0)[0])]
+    rect = rectangle(0.0, 1.0, 0.0, 0.5, boundary=DIRICHLET)
+    idx = mode_table(rect, 64)[1]
+    xy = np.stack(np.meshgrid(np.linspace(0.0, 1.0, 65), np.linspace(0.0, 0.5, 33)),
+                  axis=-1).reshape(-1, 2)
+    cases += [(f"rectangle axis {ax}", idx[:, ax], (xy[:, ax] - lo) / (hi - lo))
+              for ax, (lo, hi) in enumerate(rect.axes)]
+    for name, kk, u in cases:
+        got = _axis_factors(kk, u, DIRICHLET, ratio=True)
+        assert np.array_equal(got, _ratio_factors_reference(kk, u)), name
 
 
 def test_reject_bad_inputs():

@@ -14,7 +14,7 @@ from condemp import (build_analytic_basis, harness, mu_coefficients, project, tr
 from condemp.domains import NEUMANN
 from condemp.measures import GridMeasure, InitialDistribution
 from condemp.semigroup import conditional_density, rho_tilde
-from condemp.transport import (DUAL_SEARCH, TransportError, h_minus1_upper_bound,
+from condemp.transport import (DUAL_SEARCH, TransportError, _lower_hull, h_minus1_upper_bound,
                                kantorovich_dual_lower, logarithmic_mean,
                                w1_grid_1d, w2_entropic,
                                w2_exact_discrete, w2_quantile_1d)
@@ -525,6 +525,39 @@ def test_dual_lower_matches_brute_force(n_f, n_y, slope, curvature, walk, seed):
         assert abs(out["raw_value"] - raw) <= 2 * tie + np.spacing(abs(raw))
     else:
         assert out["raw_value"] == raw
+
+
+def _monotone_chain(x, y):
+    """Lower hull vertices and edge slopes by the monotone chain alone."""
+    hull, slopes = [0], []
+    for i in range(1, x.size):
+        while True:
+            j = hull[-1]
+            s = (float(y[i]) - float(y[j])) / (float(x[i]) - float(x[j]))
+            if not slopes or s > slopes[-1]:
+                break
+            hull.pop()
+            slopes.pop()
+        hull.append(i)
+        slopes.append(s)
+    return np.array(hull), np.array(slopes)
+
+
+@pytest.mark.parametrize("shape", ["convex", "random walk", "collinear", "single point"])
+def test_lower_hull_matches_monotone_chain(shape):
+    # the convex case takes the every-point-a-vertex shortcut, the others the chain
+    rng = np.random.default_rng(5)
+    x = np.linspace(0.0, 1.0, 1 if shape == "single point" else 4097)
+    y = {"convex": 0.5 * x * x - 0.01 * np.sin(np.pi * x),
+         "random walk": np.cumsum(rng.standard_normal(x.size)),
+         "collinear": 2.0 * x,
+         "single point": x}[shape]
+    slopes = np.diff(y) / np.diff(x)
+    assert np.all(slopes[1:] > slopes[:-1]) == (shape in ("convex", "single point"))
+    hull, got = _lower_hull(x, y)
+    ref_hull, ref = _monotone_chain(x, y)
+    assert hull.dtype == ref_hull.dtype and got.dtype == ref.dtype
+    assert np.array_equal(hull, ref_hull) and np.array_equal(got, ref)
 
 
 # ---------------------------------------------------------------------------
