@@ -10,11 +10,12 @@ in this process, or on worker processes, one per core the process may run
 on.  Workers are forked, so each starts with the config as it is (a config
 may hold lambdas, which do not pickle) and only block results travel back.
 
-Occupation is kept as integer visit counts per (path, bin): each step
-visits the bins of both its ends, every visit worth dt/2.  With all
-increments equal, a bin's occupation time depends on its count alone; it
-is read at the end from one table of running sums, bit for bit the value
-that adding the increments one by one gives.
+Occupation is kept as integer visit counts per (path, bin), each step
+visiting both its ends, every visit worth dt/2.  Visits are prepaid: a
+path gets 1 at its start, 2 at each step's end (that end and the next
+start) and -1 at its final bin, and a clone copies counts that hold its
+start.  A count alone fixes a bin's occupation time, read from one table
+of running sums bit for bit as adding the increments one by one gives it.
 
 Deep horizons are unreachable by direct killing (survival decays like
 e^{-lambda_0 t}), so the simulator also offers a resampling mode: killed
@@ -134,42 +135,39 @@ def _reflect(x: np.ndarray, a: float, b: float) -> np.ndarray:
 
 def _bin_index(x: np.ndarray, a: float, b: float, n_bins: int) -> np.ndarray:
     idx = ((x - a) / (b - a) * n_bins).astype(np.int64)
-    return np.minimum(np.maximum(idx, 0, out=idx), n_bins - 1, out=idx)
+    return np.minimum(idx, n_bins - 1, out=idx)      # x in [a, b]: only x = b needs a clamp
 
 
 def _propose(cfg: SimulationConfig, u: np.ndarray, x: np.ndarray) -> np.ndarray:
     """One Euler-Maruyama step from x, driven by one uniform per path."""
     z = ndtri(u)
-    drift = 0.0 if cfg.drift is None else np.asarray(cfg.drift(x), dtype=float)
-    return x + drift * cfg.dt + np.sqrt(2.0 * cfg.dt) * z
+    if cfg.drift is not None:
+        return x + np.asarray(cfg.drift(x), dtype=float) * cfg.dt + np.sqrt(2.0 * cfg.dt) * z
+    z *= np.sqrt(2.0 * cfg.dt)     # bit for bit x + 0 dt + c z: no position is -0.0
+    return np.add(z, x, out=z)
 
 
 def _survives(u0: np.ndarray, u1: np.ndarray, x: np.ndarray, xn: np.ndarray,
               a: float, b: float, dt: float) -> np.ndarray:
-    """The step x -> xn ends inside and its Brownian bridge crossed neither
-    face: face k is crossed with probability p = exp(-d1 d2 / dt) and
-    survived when u_k > p.  The exponential is evaluated only where
-    d1 d2 / dt <= BRIDGE_CUTOFF; beyond it p < 2^-53, the spacing of the
-    uniforms, so u_k > p is the same decision as u_k > 0."""
-    ok = (xn > a) & (xn < b) & (u0 > 0.0) & (u1 > 0.0)
+    """The step x -> xn, x in [a, b], ends inside and its Brownian bridge
+    crossed neither face: face k is crossed with probability p =
+    exp(-d1 d2 / dt) and survived when u_k > p; ending on or past it makes
+    d1 d2 <= 0 and p >= 1.  p is evaluated only where d1 d2 <= BRIDGE_CUTOFF
+    dt (1e-12 wider, to miss no d1 d2 / dt <= BRIDGE_CUTOFF); beyond it
+    p < 2^-53, the spacing of the uniforms, and u_k > p means u_k > 0."""
+    ok = np.minimum(u0, u1) > 0.0
+    cut = BRIDGE_CUTOFF * dt * (1.0 + 1e-12)
     with np.errstate(over="ignore"):
         for u, d, dn in ((u0, x - a, xn - a), (u1, b - x, b - xn)):
-            r = np.maximum(d, 0.0) * np.maximum(dn, 0.0) / dt
-            near = np.flatnonzero(ok & (r <= BRIDGE_CUTOFF))
-            ok[near] = u[near] > np.exp(-r[near])
+            d *= dn
+            near = (ok & (d <= cut)).nonzero()[0]
+            ok[near] = u[near] > np.exp(-(d[near] / dt))
     return ok
-
-
-def _visit(counts: np.ndarray, offsets: np.ndarray, x: np.ndarray, a: float, b: float):
-    """One visit (half a trapezoidal step, dt/2) in the bin of x, for the
-    rows whose flat offsets are given; each row appears once."""
-    n_bins = counts.shape[1]
-    counts.reshape(-1)[offsets + _bin_index(x, a, b, n_bins)] += 1
 
 
 def _new_counts(cfg: SimulationConfig, n: int) -> np.ndarray:
     """Per-(path, bin) visit counts in the smallest dtype that holds the
-    2 n_steps visits of a path."""
+    2 n_steps + 1 visits of a path, one prepaid (every unsigned max is odd)."""
     return np.zeros((n, cfg.n_bins), dtype=np.min_scalar_type(2 * cfg.n_steps()))
 
 
@@ -191,25 +189,27 @@ def _run_block_direct(cfg: SimulationConfig, block: int, n: int, cp_steps: dict)
     x = _sample_initial(cfg.initial, cfg.domain, rng, n)
     kill = cfg.boundary_rule == "kill"
     counts = _new_counts(cfg, n)
+    flat = counts.reshape(-1)
     live = np.arange(n)
     offsets = live * cfg.n_bins
+    flat[offsets + _bin_index(x, a, b, cfg.n_bins)] = 1     # the start visit
     cp_counts = {}
     for s in range(1, cfg.n_steps() + 1):
         if kill:
             u = rng.random(3 * n).reshape(3, n)
             if live.size < n:
-                u = u[:, live]
+                u = u.take(live, axis=1)
             xn = _propose(cfg, u[0], x)
             ok = _survives(u[1], u[2], x, xn, a, b, cfg.dt)
             if not ok.all():
-                live, offsets, x, xn = live[ok], offsets[ok], x[ok], xn[ok]
+                live, offsets, xn = live[ok], offsets[ok], xn[ok]
         else:
             xn = _reflect(_propose(cfg, rng.random(n), x), a, b)
-        _visit(counts, offsets, x, a, b)
-        _visit(counts, offsets, xn, a, b)
+        flat[offsets + _bin_index(xn, a, b, cfg.n_bins)] += 2   # this end, next start
         x = xn
         if s in cp_steps:
             cp_counts[cp_steps[s]] = live.size
+    flat[offsets + _bin_index(x, a, b, cfg.n_bins)] -= 1     # no step starts at the horizon
     return x, counts[live], cp_counts
 
 
@@ -222,31 +222,31 @@ def _run_block_resampled(cfg: SimulationConfig, block: int, n: int, cp_steps: di
     rng = _rng_for(cfg.seed, block)
     x = _sample_initial(cfg.initial, cfg.domain, rng, n)
     counts = _new_counts(cfg, n)
+    flat = counts.reshape(-1)
     offsets = np.arange(n) * cfg.n_bins
+    flat[offsets + _bin_index(x, a, b, cfg.n_bins)] = 1     # the start visit
     log_surv = 0.0
     cp_logs = {}
     for s in range(1, cfg.n_steps() + 1):
         u = rng.random(3 * n).reshape(3, n)
         xn = _propose(cfg, u[0], x)
-        killed = ~_survives(u[1], u[2], x, xn, a, b, cfg.dt)
-        nk = int(killed.sum())
+        ok = _survives(u[1], u[2], x, xn, a, b, cfg.dt)
+        killed = (~ok).nonzero()[0]
+        nk = killed.size
         if nk == n:
             raise SimulationError("entire population killed in one step; shrink dt")
-        xold = x
         if nk:
-            survivors = np.flatnonzero(~killed)
+            survivors = ok.nonzero()[0]
             donors = survivors[(rng.random(nk) * survivors.size).astype(np.int64)]
-            xold = x.copy()
-            xold[killed] = x[donors]
-            xn[killed] = np.clip(_propose(cfg, rng.random(nk), x[donors]),
-                                 a + 1e-12, b - 1e-12)
-            counts[killed] = counts[donors]
-        log_surv += np.log1p(-nk / n)
-        _visit(counts, offsets, xold, a, b)
-        _visit(counts, offsets, xn, a, b)
+            xn[killed] = np.minimum(np.maximum(_propose(cfg, rng.random(nk), x[donors]),
+                                               a + 1e-12), b - 1e-12)      # np.clip without its dispatch cost
+            counts[killed] = counts[donors]     # holds the donor's visit of x[donors]
+            log_surv += np.log1p(-nk / n)
+        flat[offsets + _bin_index(xn, a, b, cfg.n_bins)] += 2   # this end, next start
         x = xn
         if s in cp_steps:
             cp_logs[cp_steps[s]] = log_surv
+    flat[offsets + _bin_index(x, a, b, cfg.n_bins)] -= 1     # no step starts at the horizon
     return x, _visit_times(cfg)[counts].mean(axis=0), log_surv, cp_logs
 
 
@@ -349,9 +349,6 @@ def simulate(config: SimulationConfig) -> PathEnsembleSummary:
     var_occ = np.maximum(total_sq / survivors - mean_occ**2, 0.0)
     hist = mean_occ / widths
     se = np.sqrt(var_occ / survivors) / widths
-    path_occ = np.vstack(surv_occ) if surv_occ else None
-    if path_occ is not None and path_occ.shape[0] > 60000:
-        path_occ = path_occ[:60000]
     return PathEnsembleSummary(
         config=config, bin_edges=edges, histogram=hist, stderr=se,
         survival_count=survivors,
@@ -359,7 +356,7 @@ def simulate(config: SimulationConfig) -> PathEnsembleSummary:
         effective_sample_size=float(survivors),
         final_positions=np.concatenate(finals) if finals else np.empty(0),
         checkpoint_survival={k: v / config.n_paths for k, v in cp_counts.items()},
-        path_occupations=path_occ)
+        path_occupations=np.vstack(surv_occ)[:60000])
 
 
 def conditional_empirical_w2(summary: PathEnsembleSummary, reference: GridMeasure,
@@ -370,8 +367,9 @@ def conditional_empirical_w2(summary: PathEnsembleSummary, reference: GridMeasur
     To first order, noise adds the floor int Var F(x)/rho(x) dx to W2^2
     (Peyre 2018): F is the pooled CDF, its variance estimated at the bin
     edges from the pool, and rho the reference density (0 where rho = 0).
-    The distance is sqrt(max(W2^2 - floor, 0)); each bootstrap resample is
-    debiased by its own floor.
+    The distance is sqrt(max(W2^2 - floor, 0)), F the mean of all survivors
+    (direct mode pools at most 60000); a bootstrap resample, debiased by its
+    own pool-sized floor, gives a conservative SE when the pool is capped.
     """
     cfg = summary.config
     if summary.effective_sample_size < 1000:
@@ -381,24 +379,24 @@ def conditional_empirical_w2(summary: PathEnsembleSummary, reference: GridMeasur
     rng = _rng_for(cfg.seed, 10**6)
     edges = summary.bin_edges
     widths = np.diff(edges)
-    if summary.island_histograms is not None:
-        pool, to_mass = summary.island_histograms, widths     # densities per island
-    elif summary.path_occupations is not None:
-        pool, to_mass = summary.path_occupations, 1.0         # occupation masses per path
+    if summary.island_histograms is not None:       # densities per island
+        pool, to_mass, n_hist = summary.island_histograms, widths, len(summary.island_histograms)
+    elif summary.path_occupations is not None:      # occupation masses per path
+        pool, to_mass, n_hist = summary.path_occupations, 1.0, summary.survival_count
     else:
         raise SimulationError("summary carries no resampling pool")
     cdfs = np.zeros((pool.shape[0], edges.size))
     np.cumsum(pool * to_mass, axis=1, out=cdfs[:, 1:])
     cdfs /= cdfs[:, -1:]
     rho = reference.pdf(edges)
-    floor = _noise_floor(cdfs, edges, rho)
+    floor = _noise_floor(cdfs, edges, rho, n_hist)
     n = pool.shape[0]
     vals = np.empty(n_bootstrap)
     for k in range(n_bootstrap):
         pick = (rng.random(n) * n).astype(int)
         gm = GridMeasure.from_histogram(edges, pool[pick].mean(axis=0) * to_mass)
         w2sq = w2_quantile_1d(gm, reference, n_quantiles=4000).w2_squared
-        vals[k] = np.sqrt(max(w2sq - _noise_floor(cdfs[pick], edges, rho), 0.0))
+        vals[k] = np.sqrt(max(w2sq - _noise_floor(cdfs[pick], edges, rho, n), 0.0))
     se = float(vals.std(ddof=1))
     result = TransportResult(w2=float(np.sqrt(max(base.w2_squared - floor, 0.0))),
                              method="quantile1d",
@@ -409,8 +407,8 @@ def conditional_empirical_w2(summary: PathEnsembleSummary, reference: GridMeasur
     return result, se
 
 
-def _noise_floor(cdfs, edges, rho) -> float:
-    """int Var(mean CDF) / rho over the bin edges, from one CDF per pool row."""
-    var = cdfs.var(axis=0, ddof=1) / cdfs.shape[0]
+def _noise_floor(cdfs, edges, rho, n) -> float:
+    """int Var(mean of n CDFs) / rho over the bin edges, Var from the rows of cdfs."""
+    var = cdfs.var(axis=0, ddof=1) / n
     return float(np.trapezoid(np.divide(var, rho, out=np.zeros_like(var), where=rho > 0),
                               edges))

@@ -147,7 +147,6 @@ class SpectralBasis:
     weights: np.ndarray
     mu_lebesgue: np.ndarray
     eigenfunctions: np.ndarray       # (M, N)
-    sup_norms: np.ndarray
     ratio_sups: np.ndarray
     analytic: bool = True
     _splines: dict = field(default_factory=dict, repr=False)
@@ -286,14 +285,13 @@ class SpectralBasis:
 
     def to_dict(self) -> dict:
         return {
-            "schema": "condemp.basis/1",
+            "schema": "condemp.basis/2",
             "domain": self.domain.to_dict(),
             "eigenvalues": self.eigenvalues.tolist(),
             "grid": self.grid.tolist(),
             "weights": self.weights.tolist(),
             "mu_lebesgue": self.mu_lebesgue.tolist(),
             "eigenfunctions": self.eigenfunctions.tolist(),
-            "sup_norms": self.sup_norms.tolist(),
             "ratio_sups": self.ratio_sups.tolist(),
             "analytic": self.analytic,
         }
@@ -304,7 +302,7 @@ class SpectralBasis:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SpectralBasis":
-        if doc.get("schema") != "condemp.basis/1":
+        if doc.get("schema") not in ("condemp.basis/1", "condemp.basis/2"):
             raise BasisError(f"unsupported basis document schema {doc.get('schema')!r}")
         basis = cls(
             domain=Domain.from_dict(doc["domain"]),
@@ -313,11 +311,11 @@ class SpectralBasis:
             weights=np.asarray(doc["weights"], dtype=float),
             mu_lebesgue=np.asarray(doc["mu_lebesgue"], dtype=float),
             eigenfunctions=np.asarray(doc["eigenfunctions"], dtype=float),
-            sup_norms=np.asarray(doc["sup_norms"], dtype=float),
             ratio_sups=np.asarray(doc["ratio_sups"], dtype=float),
             analytic=bool(doc["analytic"]),
         )
-        # files from before the indices were derived carry them: they must agree
+        # /1 files also carry sup_norms, which nothing reads; files from before
+        # the indices were derived carry them too: they must agree
         if "mode_indices" in doc and not np.array_equal(doc["mode_indices"], basis.mode_indices):
             raise BasisError("stored mode_indices disagree with the closed-form mode table")
         return basis.validate()
@@ -336,8 +334,7 @@ def build_analytic_basis(domain: Domain, M: int, n_quad: int | None = None) -> S
     """Closed-form tensor-product basis on an interval or rectangle with zero
     potential, sampled on the product of n_quad Gauss-Legendre nodes per axis
     (default 4 M + 64 on an interval, max(2 k + 24, 32) on a rectangle whose
-    largest axis index is k).  Sup norms and ratio sups are products of the
-    per-axis ones."""
+    largest axis index is k).  Ratio sups are products of the per-axis ones."""
     if M < 1:
         raise BasisError("need at least one mode")
     if domain.potential is not None:
@@ -354,12 +351,12 @@ def build_analytic_basis(domain: Domain, M: int, n_quad: int | None = None) -> S
     mu_leb = np.full(wl.size, 1.0 / np.prod(domain.lengths))
     w = wl * mu_leb
     w /= w.sum()
-    sup_axis = np.where(idx > 0, np.sqrt(2.0), 1.0)
-    ratio_axis = idx.astype(float) if domain.boundary == DIRICHLET else sup_axis
+    ratio_axis = (idx.astype(float) if domain.boundary == DIRICHLET
+                  else np.where(idx > 0, np.sqrt(2.0), 1.0))
     basis = SpectralBasis(
         domain=domain, eigenvalues=lam, grid=grid, weights=w, mu_lebesgue=mu_leb,
         eigenfunctions=_tensor_modes(domain, idx, grid, ratio=False),
-        sup_norms=np.prod(sup_axis, axis=1), ratio_sups=np.prod(ratio_axis, axis=1))
+        ratio_sups=np.prod(ratio_axis, axis=1))
     return basis.validate()
 
 
@@ -462,8 +459,7 @@ def solve_sturm_liouville(domain: Domain, M: int, n_grid: int) -> SpectralBasis:
 
     basis = SpectralBasis(
         domain=domain, eigenvalues=lam, grid=xg, weights=w, mu_lebesgue=mu_leb,
-        eigenfunctions=phi, sup_norms=np.max(np.abs(phi), axis=1),
-        ratio_sups=np.max(np.abs(phi / phi[0]), axis=1), analytic=False)
+        eigenfunctions=phi, ratio_sups=np.max(np.abs(phi / phi[0]), axis=1), analytic=False)
     return basis.validate()
 
 

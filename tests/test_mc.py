@@ -155,6 +155,33 @@ def test_conditional_w2_subtracts_its_noise_floor():
     assert np.mean(raw) - noise_free > 5.0 * se
 
 
+def test_direct_noise_floor_counts_every_survivor():
+    # the histogram averages survival_count paths, of which the pool keeps
+    # the first rows only: the floor is that of a survival_count-path mean,
+    # while each bootstrap resample keeps its pool-sized floor
+    x = np.linspace(0.0, 1.0, 2049)
+    reference = GridMeasure.normalized(x, 1.0 + 0.5 * np.cos(np.pi * x))
+    edges = np.linspace(0.0, 1.0, 33)
+    pool = 0.3 * np.random.default_rng(5).dirichlet(np.full(32, 20.0), size=1200)
+    floors, ses = [], []
+    for count in (1200, 4800, 96_000):
+        summary = PathEnsembleSummary(
+            config=kill_config(n_bins=32), bin_edges=edges,
+            histogram=pool.mean(axis=0) / 0.3 / np.diff(edges), stderr=np.zeros(32),
+            survival_count=count, survival_fraction=count / 100_000,
+            effective_sample_size=float(count), final_positions=np.empty(0),
+            path_occupations=pool)
+        res, se = conditional_empirical_w2(summary, reference, n_bootstrap=3)
+        floors.append(res.details["noise_floor"])
+        ses.append(se)
+        raw_sq = res.details["w2_raw"] ** 2
+        assert res.w2 == np.sqrt(max(raw_sq - floors[-1], 0.0))
+    assert floors[0] > 0.0
+    assert floors[1] == pytest.approx(floors[0] / 4, rel=1e-12)
+    assert floors[2] == pytest.approx(floors[0] / 80, rel=1e-12)
+    assert ses[0] == ses[1] == ses[2]
+
+
 def test_conditional_w2_needs_survivors():
     sim = simulate(kill_config(horizon=0.6, n_paths=2_000))
     with pytest.raises(SimulationError):
@@ -428,11 +455,11 @@ def test_bridge_test_on_the_uniform_lattice(face):
     k = np.random.default_rng(11).integers(1, 2**53, 6)
     levels = np.concatenate([[0.0, 2.0**-53, 2 * 2.0**-53], k * 2.0**-53])
     x, xn, u_face = [], [], []
-    for r in ratios:
-        if r == 0.0:           # the step lands on the face
-            xs, xns = (0.25, 0.0) if face == 0 else (0.75, 1.0)
-        else:
-            xs, xns = _face_step(r, face, dt)
+    steps = [((0.25, 0.0) if face == 0 else (0.75, 1.0)) if r == 0.0   # lands on the face
+             else _face_step(r, face, dt) for r in ratios]
+    # starts exactly on either face (d1 = 0), one step inside
+    steps += [(0.0, 1e-3), (0.0, 5e-324), (1.0, 1.0 - 1e-3), (1.0, np.nextafter(1.0, 0.0))]
+    for xs, xns in steps:
         x += [xs] * levels.size
         xn += [xns] * levels.size
         u_face.append(levels)
@@ -442,8 +469,9 @@ def test_bridge_test_on_the_uniform_lattice(face):
     want = _ref_survives_given(u0, u1, x, xn, 0.0, 1.0, dt)
     assert np.array_equal(_survives(u0, u1, x, xn, 0.0, 1.0, dt), want)
     # the lowest nonzero level 2^-53 lies below exp(-36.5) but above exp(-37)
-    grid = want.reshape(len(ratios), levels.size)
+    grid = want.reshape(len(steps), levels.size)
     assert not grid[2, 1] and grid[4, 1]
+    assert not grid[len(ratios):].any()       # a start on a face is a crossing: p = 1
 
 
 def test_visit_counts_beyond_the_smallest_dtype():
@@ -453,6 +481,20 @@ def test_visit_counts_beyond_the_smallest_dtype():
                            n_paths=32, seed=3, initial=InitialDistribution.from_mu(),
                            boundary_rule="reflect", n_bins=1)
     assert cfg.n_steps() == 40_000 and _new_counts(cfg, 1).dtype == np.uint32
+    _assert_same_summary(simulate(cfg), _simulate_reference(cfg))
+
+
+@pytest.mark.parametrize("resample", [False, True])
+def test_prepaid_visit_counts_at_the_dtype_edge(resample):
+    # one bin, 127 steps: the 254 visits of a path fit uint8, and with the
+    # start visit prepaid a count peaks at 255, the largest uint8
+    from condemp.mc import _new_counts
+    cfg = SimulationConfig(
+        domain=unit_interval() if resample else unit_interval(boundary=NEUMANN), dt=1e-3,
+        horizon=0.127, n_paths=48, seed=3, initial=InitialDistribution.from_mu(),
+        boundary_rule="kill" if resample else "reflect", resample=resample, islands=3,
+        n_bins=1)
+    assert cfg.n_steps() == 127 and _new_counts(cfg, 1).dtype == np.uint8
     _assert_same_summary(simulate(cfg), _simulate_reference(cfg))
 
 

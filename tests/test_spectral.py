@@ -270,8 +270,12 @@ def test_completeness_doubling():
 
 def test_basis_roundtrip(tmp_path, dirichlet_basis_64):
     rect = build_analytic_basis(rectangle(0.0, 1.0, 0.0, 0.5, boundary=NEUMANN), 24)
-    # files written before the mode indices were derived still carry them
-    legacy = dict(rect.to_dict(), mode_indices=rect.mode_indices.tolist())
+    # condemp.basis/1 files carry sup_norms, which nothing reads, and those
+    # written before the mode indices were derived carry the indices too
+    current = rect.to_dict()
+    assert current["schema"] == "condemp.basis/2" and "sup_norms" not in current
+    legacy = dict(current, schema="condemp.basis/1", mode_indices=rect.mode_indices.tolist(),
+                  sup_norms=np.where(rect.mode_indices > 0, np.sqrt(2.0), 1.0).prod(1).tolist())
     path = tmp_path / "basis.json"
     for basis, doc in ((dirichlet_basis_64, None), (rect, None), (rect, legacy)):
         if doc is None:
@@ -284,6 +288,7 @@ def test_basis_roundtrip(tmp_path, dirichlet_basis_64):
         assert np.array_equal(loaded.eigenfunctions, basis.eigenfunctions)
         assert np.array_equal(loaded.weights, basis.weights)
         assert np.array_equal(loaded.eval_ratio(basis.grid[:5]), basis.eval_ratio(basis.grid[:5]))
+        assert loaded.to_dict() == basis.to_dict()
 
 
 def test_basis_rejects_unknown_schema(tmp_path, dirichlet_basis_64):
