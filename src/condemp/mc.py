@@ -141,10 +141,9 @@ def _bin_index(x: np.ndarray, a: float, b: float, n_bins: int) -> np.ndarray:
 def _propose(cfg: SimulationConfig, u: np.ndarray, x: np.ndarray) -> np.ndarray:
     """One Euler-Maruyama step from x, driven by one uniform per path."""
     z = ndtri(u)
-    if cfg.drift is not None:
-        return x + np.asarray(cfg.drift(x), dtype=float) * cfg.dt + np.sqrt(2.0 * cfg.dt) * z
-    z *= np.sqrt(2.0 * cfg.dt)     # bit for bit x + 0 dt + c z: no position is -0.0
-    return np.add(z, x, out=z)
+    z *= np.sqrt(2.0 * cfg.dt)     # without drift, bit for bit x + 0 dt + c z: no position is -0.0
+    return np.add(z, x if cfg.drift is None else x + np.asarray(cfg.drift(x), dtype=float) * cfg.dt,
+                  out=z)
 
 
 def _survives(u0: np.ndarray, u1: np.ndarray, x: np.ndarray, xn: np.ndarray,
@@ -354,7 +353,7 @@ def simulate(config: SimulationConfig) -> PathEnsembleSummary:
         survival_count=survivors,
         survival_fraction=survivors / config.n_paths,
         effective_sample_size=float(survivors),
-        final_positions=np.concatenate(finals) if finals else np.empty(0),
+        final_positions=np.concatenate(finals),
         checkpoint_survival={k: v / config.n_paths for k, v in cp_counts.items()},
         path_occupations=np.vstack(surv_occ)[:60000])
 
