@@ -5,8 +5,9 @@ on an ascending node grid held as one piecewise polynomial, the
 shape-preserving (PCHIP) cubic interpolant of sampled values or, for
 histograms, the piecewise constant of per-cell values.  Its antiderivative
 is the monotone CDF.  Quantiles find their cell in the node CDF table and
-are inverted there: linear interpolation, exact on linear CDF pieces, then
-a bracketed Newton iteration on the cell's polynomial.
+are inverted there, in cache-sized blocks of levels: linear interpolation,
+exact on linear CDF pieces, then a bracketed Newton iteration on the
+cell's polynomial.
 
 InitialDistribution describes a starting law nu: a density against mu, an
 interior point mass, or a raw Lebesgue density on its own grid.
@@ -24,6 +25,7 @@ __all__ = ["MeasureError", "GridMeasure", "InitialDistribution"]
 
 
 NEWTON_ITERS = 60      # cap on guarded Newton steps per quantile inversion
+QUANTILE_BLOCK = 16384  # levels inverted at once; fastest of 2^11..2^15: work arrays stay in L2
 QUANTILE_CACHE = 2     # level arrays remembered per measure: w2_quantile_1d alternates two
 EPS, TINY = np.finfo(float).eps, np.finfo(float).smallest_subnormal
 
@@ -139,6 +141,11 @@ class GridMeasure:
         """Normalized CDF values at x."""
         return np.clip(self._cdf(np.clip(x, *self.support)) / self._mass, 0.0, 1.0)
 
+    @property
+    def node_cdf(self) -> np.ndarray:
+        """The normalized CDF table at the nodes, where quantiles find their cell."""
+        return self._cdf_nodes / self._mass
+
     def pdf(self, x) -> np.ndarray:
         return np.maximum(self._pdf(np.clip(x, *self.support)), 0.0) / self._mass
 
@@ -153,7 +160,9 @@ class GridMeasure:
         polynomial's lowest-order term) and stops once the residual is
         within the rounding of its Horner sum, or the Newton step or the
         bracket is a few ulps of x.  Levels still open after NEWTON_ITERS
-        steps raise MeasureError.
+        steps raise MeasureError.  Levels go QUANTILE_BLOCK at a time into an
+        output allocated first, so a block's work arrays stay in cache; each
+        level's path is its own, so no bit depends on the blocking.
 
         The results for the last QUANTILE_CACHE level arrays are kept, keyed
         by a digest of the levels, and come back read-only.
@@ -162,10 +171,7 @@ class GridMeasure:
         key = (u.shape, hashlib.blake2b(u.tobytes(), digest_size=16).digest())
         x = self._quantiles.get(key)
         if x is None:
-            # copied after the inversion's temporaries are freed, so the kept
-            # array does not pin the allocator's heap above them (without
-            # the copy a killed_converge pass peaks ~12 MiB higher)
-            x = self._invert(u.ravel()).reshape(u.shape).copy()
+            x = self._invert(u.ravel()).reshape(u.shape)
             x.flags.writeable = False
             if len(self._quantiles) == QUANTILE_CACHE:
                 del self._quantiles[next(iter(self._quantiles))]
@@ -174,54 +180,66 @@ class GridMeasure:
 
     def _invert(self, u: np.ndarray) -> np.ndarray:
         """Quantiles of the flat level array u, as `quantile` describes."""
-        F = self._cdf_nodes / self._mass
-        j = np.clip(np.searchsorted(F, u, side="left"), 1, F.size - 1)
-        F0, F1 = F[j - 1], F[j]
-        x0, x1 = self.nodes[j - 1], self.nodes[j]
-        s = np.where(F1 > F0, (u - F0) / np.where(F1 > F0, F1 - F0, 1.0), 0.0) * (x1 - x0)
-
-        # Newton in the cell-local variable s = x - x0, on nonlinear cells
-        coef = self._cdf.c[:, j - 1]
-        target = u * self._mass
-        lo, hi = np.zeros_like(s), x1 - x0
-        open_ = np.flatnonzero(np.any(coef[:-2] != 0, axis=0))
-        # Where the density vanishes at x0 the cell's CDF starts as c_k s^k,
-        # k >= 2.  A level far below the cell's mass then has its root far
-        # above the linear start and far below the cell width, and the
-        # guarded Newton closes in on it only geometrically.  Levels whose
-        # linear start lies below sqrt(EPS) times the root s0 of that
-        # lowest-order term start from s0 instead.
-        v = open_[coef[-2, open_] == 0]
-        low = coef[-2::-1, v]                      # orders 1 .. 4
-        k = np.argmax(low != 0, axis=0)
-        ck = low[k, np.arange(v.size)]
-        s0 = (np.maximum(target[v] - coef[-1, v], 0.0)
-              / np.where(ck > 0, ck, np.inf)) ** (1.0 / (k + 1))
-        far = s[v] < np.sqrt(EPS) * s0
-        s[v[far]] = np.minimum(s0[far], hi[v[far]])
-        for _ in range(NEWTON_ITERS):
-            if open_.size == 0:
-                return np.minimum(x0 + s, x1)
-            c, t, si = coef[:, open_], target[open_], s[open_]
-            tol = 2 * EPS * (np.abs(x0[open_]) + si) + TINY    # a few ulps of x and s
-            g, dg, size = c[0], np.zeros_like(si), np.abs(c[0])   # size: Horner sum of |terms|
-            for ck in c[1:]:
-                dg = dg * si + g
-                g = g * si + ck
-                size = size * si + np.abs(ck)
-            g = g - t
-            lo_i = np.where(g < 0, si, lo[open_])
-            hi_i = np.where(g > 0, si, hi[open_])
-            done = ((np.abs(g) <= 0.5 * EPS * (size + t) + TINY) | (np.abs(g) <= tol * dg)
-                    | (hi_i - lo_i <= tol))
-            s_new = si - g / np.where(dg > 0, dg, 1.0)
-            inside = (dg > 0) & (s_new > lo_i) & (s_new < hi_i)
-            s_new = np.where(inside, s_new, 0.5 * (lo_i + hi_i))
-            keep = ~done
-            open_ = open_[keep]
-            s[open_], lo[open_], hi[open_] = s_new[keep], lo_i[keep], hi_i[keep]
-        raise MeasureError(f"quantile inversion left {open_.size} levels unconverged "
-                           f"after {NEWTON_ITERS} Newton steps")
+        out, F = np.empty_like(u), self.node_cdf
+        for b in range(0, u.size, QUANTILE_BLOCK):
+            ub = u[b:b + QUANTILE_BLOCK]
+            j = np.clip(np.searchsorted(F, ub, side="left"), 1, F.size - 1)
+            F0, F1 = F[j - 1], F[j]
+            x0, x1 = self.nodes[j - 1], self.nodes[j]
+            s = np.where(F1 > F0, (ub - F0) / np.where(F1 > F0, F1 - F0, 1.0), 0.0) * (x1 - x0)
+            # Newton in the cell-local variable s = x - x0, on nonlinear cells
+            coef = np.take(self._cdf.c, j - 1, axis=1)    # one contiguous row per order
+            target, lo, hi = ub * self._mass, np.zeros_like(s), x1 - x0
+            open_ = np.flatnonzero(np.any(coef[:-2] != 0, axis=0))
+            # Where the density vanishes at x0 the cell's CDF starts as c_k s^k,
+            # k >= 2, and a level far below the cell's mass has its root far
+            # above the linear start and far below the cell width, which guarded
+            # Newton nears only geometrically.  Such levels (linear start below
+            # sqrt(EPS) times the root s0 of that lowest-order term) start at s0.
+            v = open_[coef[-2, open_] == 0]
+            low = coef[-2::-1, v]                      # orders 1 .. 4
+            k = np.argmax(low != 0, axis=0)
+            ck = low[k, np.arange(v.size)]
+            s0 = (np.maximum(target[v] - coef[-1, v], 0.0)
+                  / np.where(ck > 0, ck, np.inf)) ** (1.0 / (k + 1))
+            far = s[v] < np.sqrt(EPS) * s0
+            s[v[far]] = np.minimum(s0[far], hi[v[far]])
+            # sweeps on the open levels: views of the block's arrays until some close
+            sel = open_ if open_.size < s.size else slice(None)
+            c, t, xo, lo, hi, si = coef[:, sel], target[sel], x0[sel], lo[sel], hi[sel], s[sel]
+            for _ in range(NEWTON_ITERS):
+                if si.size == 0:
+                    break
+                tol = 2 * EPS * (np.abs(xo) + si) + TINY    # a few ulps of x and s
+                g, dg, size, w = c[0].copy(), np.zeros_like(si), np.abs(c[0]), np.empty_like(si)
+                for ck in c[1:]:                            # size: Horner sum of |terms|
+                    np.add(np.multiply(dg, si, out=dg), g, out=dg)
+                    np.add(np.multiply(g, si, out=g), ck, out=g)
+                    np.add(np.multiply(size, si, out=size), np.abs(ck, out=w), out=size)
+                g -= t
+                np.copyto(lo, si, where=g < 0)
+                np.copyto(hi, si, where=g > 0)
+                ag = np.abs(g)
+                size += t
+                done = ag <= np.add(np.multiply(size, 0.5 * EPS, out=size), TINY, out=size)
+                done |= ag <= np.multiply(tol, dg, out=w)
+                done |= np.subtract(hi, lo, out=w) <= tol
+                pos = dg > 0
+                s_new = np.subtract(si, np.divide(g, np.where(pos, dg, 1.0), out=g), out=g)
+                pos &= (s_new > lo) & (s_new < hi)
+                np.copyto(s_new, np.multiply(np.add(lo, hi, out=w), 0.5, out=w), where=~pos)
+                keep = ~done
+                np.copyto(si, s_new, where=keep)            # a closed level keeps its s
+                if not keep.all():
+                    s[sel] = si                             # final for the levels closed here
+                    sel = open_ = open_[keep]
+                    c, t, xo = np.compress(keep, c, axis=1), t[keep], xo[keep]
+                    lo, hi, si = lo[keep], hi[keep], si[keep]
+            else:
+                raise MeasureError(f"quantile inversion left {si.size} levels unconverged "
+                                   f"after {NEWTON_ITERS} Newton steps")
+            np.minimum(x0 + s, x1, out=out[b:b + QUANTILE_BLOCK])
+        return out
 
     # ---- integration and atomization -----------------------------------
 

@@ -12,6 +12,7 @@ asserted within those estimates, never to an absolute figure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -82,6 +83,7 @@ def logarithmic_mean(a, b):
 # quantile route (1D)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=16)
 def _quantile_grid(n_quantiles: int):
     """Composite Gauss panels in (0,1), geometrically refined at both ends.
 
@@ -100,6 +102,7 @@ def _quantile_grid(n_quantiles: int):
     a, b = edges[:-1], edges[1:]
     u = (0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * gx[None, :]).ravel()
     w = (0.5 * (b - a)[:, None] * gw[None, :]).ravel()
+    u.flags.writeable = w.flags.writeable = False     # built once per size, shared
     return u, w
 
 
@@ -112,9 +115,8 @@ def w2_quantile_1d(m1: GridMeasure, m2: GridMeasure,
     measure's piecewise-polynomial CDF (`GridMeasure.quantile`).  The error
     estimate compares against the half-resolution value.
     """
-    for m in (m1, m2):
-        if np.any(np.diff(m.cdf(m.nodes)) < -1e-12):
-            raise TransportError("non-monotone CDF: corrupt input measure")
+    if any(np.any(np.diff(m.node_cdf) < -1e-12) for m in (m1, m2)):
+        raise TransportError("non-monotone CDF: corrupt input measure")
     u, w = _quantile_grid(n_quantiles)
     q1 = m1.quantile(u)
     q2 = m2.quantile(u)

@@ -1,9 +1,14 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condemp.measures import GridMeasure, InitialDistribution, MeasureError
+from condemp import measures, transport
+from condemp.measures import (EPS, NEWTON_ITERS, TINY, GridMeasure, InitialDistribution,
+                              MeasureError)
 
 
 def uniform_measure(n=257):
@@ -159,6 +164,105 @@ def test_quantile_deep_tail(shape):
     q = gm.quantile(u)
     assert np.all(np.diff(q) >= 0)
     _assert_inverts(gm, u, q)
+
+
+def _invert_reference(gm, u):
+    """The unblocked inversion: every level at once, the open set gathered
+    and scattered through index arrays at each sweep."""
+    F = gm._cdf_nodes / gm._mass
+    j = np.clip(np.searchsorted(F, u, side="left"), 1, F.size - 1)
+    F0, F1 = F[j - 1], F[j]
+    x0, x1 = gm.nodes[j - 1], gm.nodes[j]
+    s = np.where(F1 > F0, (u - F0) / np.where(F1 > F0, F1 - F0, 1.0), 0.0) * (x1 - x0)
+    coef = gm._cdf.c[:, j - 1]
+    target = u * gm._mass
+    lo, hi = np.zeros_like(s), x1 - x0
+    open_ = np.flatnonzero(np.any(coef[:-2] != 0, axis=0))
+    v = open_[coef[-2, open_] == 0]
+    low = coef[-2::-1, v]
+    k = np.argmax(low != 0, axis=0)
+    ck = low[k, np.arange(v.size)]
+    s0 = (np.maximum(target[v] - coef[-1, v], 0.0)
+          / np.where(ck > 0, ck, np.inf)) ** (1.0 / (k + 1))
+    far = s[v] < np.sqrt(EPS) * s0
+    s[v[far]] = np.minimum(s0[far], hi[v[far]])
+    for _ in range(NEWTON_ITERS):
+        if open_.size == 0:
+            return np.minimum(x0 + s, x1)
+        c, t, si = coef[:, open_], target[open_], s[open_]
+        tol = 2 * EPS * (np.abs(x0[open_]) + si) + TINY
+        g, dg, size = c[0], np.zeros_like(si), np.abs(c[0])
+        for ck in c[1:]:
+            dg = dg * si + g
+            g = g * si + ck
+            size = size * si + np.abs(ck)
+        g = g - t
+        lo_i = np.where(g < 0, si, lo[open_])
+        hi_i = np.where(g > 0, si, hi[open_])
+        done = ((np.abs(g) <= 0.5 * EPS * (size + t) + TINY) | (np.abs(g) <= tol * dg)
+                | (hi_i - lo_i <= tol))
+        s_new = si - g / np.where(dg > 0, dg, 1.0)
+        inside = (dg > 0) & (s_new > lo_i) & (s_new < hi_i)
+        s_new = np.where(inside, s_new, 0.5 * (lo_i + hi_i))
+        keep = ~done
+        open_ = open_[keep]
+        s[open_], lo[open_], hi[open_] = s_new[keep], lo_i[keep], hi_i[keep]
+    raise MeasureError("reference inversion did not converge")
+
+
+SHAPES = {"sin": lambda x: np.sin(np.pi * x), "sin2": lambda x: np.sin(np.pi * x) ** 2,
+          "x6": lambda x: x**6,
+          # flat on the right half: its cells are linear, so blocks mix open
+          # and closed levels from the first sweep
+          "half_flat": lambda x: 1.0 + np.maximum(np.sin(2 * np.pi * x), 0.0)}
+B = measures.QUANTILE_BLOCK
+
+
+@functools.cache
+def _shape_measure(shape, n, histogram):
+    x = np.linspace(0.0, 1.0, n)
+    if histogram:
+        mid = 0.5 * (x[:-1] + x[1:])
+        return GridMeasure.from_histogram(x, SHAPES[shape](mid) * np.diff(x))
+    return GridMeasure.normalized(x, SHAPES[shape](x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from(sorted(SHAPES)), n=st.sampled_from([65, 8193]),
+       histogram=st.booleans(), count=st.sampled_from([1, B - 1, B, B + 1, 2 * B + 3]),
+       u=levels, seed=st.integers(0, 2**32 - 1))
+def test_blocked_inversion_matches_reference(shape, n, histogram, count, u, seed):
+    # each level's Newton path is its own, so blocks of QUANTILE_BLOCK levels
+    # give every bit of the inversion that takes all levels at once
+    gm = _shape_measure(shape, n, histogram)
+    pool = np.random.default_rng(seed).permutation(_levels(gm, np.array(u)))
+    lv = np.resize(pool, count)
+    np.testing.assert_array_equal(gm._invert(lv), _invert_reference(gm, lv.copy()))
+
+
+def test_unconverged_inversion_raises(monkeypatch):
+    # one sweep leaves levels of a smooth measure open
+    x = np.linspace(0.0, 1.0, 8193)
+    gm = GridMeasure.normalized(x, np.sin(np.pi * x) ** 2)
+    monkeypatch.setattr(measures, "NEWTON_ITERS", 1)
+    with pytest.raises(MeasureError, match="unconverged"):
+        gm.quantile(np.linspace(0.01, 0.99, 2 * B + 3))
+
+
+def test_inversion_memory():
+    # blocks keep the sweep's work arrays small; an unblocked inversion holds
+    # ~25 arrays of all levels at once and peaks at 37.5x its output
+    x = np.linspace(0.0, 1.0, 8193)
+    gm = GridMeasure.normalized(x, np.sin(np.pi * x) ** 2)
+    u = transport._quantile_grid(100_000)[0]
+    assert u.size == 99_984
+    tracemalloc.start()
+    try:
+        q = gm.quantile(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * q.nbytes
 
 
 def test_expectation_simpson():

@@ -71,6 +71,12 @@ def test_quantile_uniform_vs_ground_limit():
     assert res.w2_squared == pytest.approx(oracle, abs=1e-8)
 
 
+def test_quantile_grid_built_once_read_only():
+    u, w = transport._quantile_grid(4000)
+    assert transport._quantile_grid(4000)[0] is u
+    assert not u.flags.writeable and not w.flags.writeable
+
+
 def test_quantile_rejects_corrupt_cdf():
     gm = uniform()
     gm._cdf_nodes = gm._cdf_nodes.copy()
