@@ -213,10 +213,13 @@ def mu0_measure(basis: SpectralBasis, n_nodes: int = 8193) -> GridMeasure:
 
 def spectral_measure(cd: ConditionalDensity, basis: SpectralBasis,
                      n_nodes: int = 8193) -> GridMeasure:
-    """h_t mu_0 as a grid measure on a uniform fine grid."""
-    return _fine_measure(
-        basis, n_nodes, lambda x: np.maximum(cd.evaluate(x), 0.0) * _phi0(basis, x) ** 2,
-        f"mu_t(t={cd.t:g})")
+    """h_t mu_0 as a grid measure on a uniform fine grid.  Its density
+    against mu is h_t phi_0^2 = sum_mn C_mn phi_m phi_n / (t Z), with C the
+    bilinear block of h_t and Z its normalization, clipped at 0."""
+    S = basis.grid_series(cd.bilinear, n_nodes)
+    return _fine_measure(basis, n_nodes,
+                         lambda _: np.maximum(S / (cd.t * cd.normalization), 0.0),
+                         f"mu_t(t={cd.t:g})")
 
 
 def mean_occupation_measure(nu_c, basis: SpectralBasis, t: float,
@@ -226,12 +229,10 @@ def mean_occupation_measure(nu_c, basis: SpectralBasis, t: float,
 
 
 def _occupation_measures(nu_c, basis: SpectralBasis, times, n_nodes: int) -> list:
-    """`mean_occupation_measure` at each time, all from one table of the
-    modes on the fine grid; the table is freed before the list returns."""
-    phi = basis.eval_modes(np.linspace(*basis.domain.bounds[:2], n_nodes))
+    """`mean_occupation_measure` at each time."""
     return [_fine_measure(
         basis, n_nodes,
-        lambda _: np.maximum(mean_empirical_density(nu_c, basis, t, phi), 0.0),
+        lambda _: np.maximum(mean_empirical_density(nu_c, basis, t, n_nodes=n_nodes), 0.0),
         f"mean_occ(t={t:g})") for t in times]
 
 

@@ -15,7 +15,6 @@ interior point mass, or a raw Lebesgue density on its own grid.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,7 +128,7 @@ class GridMeasure:
         # monotonicity guard for corrupt inputs
         if np.any(np.diff(self._cdf_nodes) < -1e-14):
             raise MeasureError("CDF not monotone (corrupt density input)")
-        self._quantiles: dict = {}     # (shape, level digest) -> read-only quantiles
+        self._quantiles: list = []     # (levels, read-only quantiles), oldest first
 
     # ---- basic queries ------------------------------------------------
 
@@ -165,17 +164,18 @@ class GridMeasure:
         level's path is its own, so no bit depends on the blocking.
 
         The results for the last QUANTILE_CACHE level arrays are kept, keyed
-        by a digest of the levels, and come back read-only.
+        by the clipped levels themselves (equal shape and values), and come
+        back read-only; the oldest entry is evicted first.
         """
         u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
-        key = (u.shape, hashlib.blake2b(u.tobytes(), digest_size=16).digest())
-        x = self._quantiles.get(key)
-        if x is None:
-            x = self._invert(u.ravel()).reshape(u.shape)
-            x.flags.writeable = False
-            if len(self._quantiles) == QUANTILE_CACHE:
-                del self._quantiles[next(iter(self._quantiles))]
-            self._quantiles[key] = x
+        for levels, x in self._quantiles:
+            if levels.shape == u.shape and np.array_equal(levels, u):
+                return x
+        x = self._invert(u.ravel()).reshape(u.shape)
+        x.flags.writeable = False
+        if len(self._quantiles) == QUANTILE_CACHE:
+            del self._quantiles[0]
+        self._quantiles.append((u, x))
         return x
 
     def _invert(self, u: np.ndarray) -> np.ndarray:

@@ -309,13 +309,14 @@ def fluctuation_remainder(nu_coeffs, mu_coeffs, basis: SpectralBasis, t: float):
 # reflecting-case mean occupation
 # ---------------------------------------------------------------------------
 
-def mean_empirical_density(nu_coeffs, basis: SpectralBasis, t: float, phi=None):
+def mean_empirical_density(nu_coeffs, basis: SpectralBasis, t: float,
+                           n_nodes: int | None = None):
     """Time-averaged occupation density for the reflecting case, w.r.t. mu.
 
     Valid for a Neumann basis (gap_0 = 0, constant ground mode):
     1 + sum_{m>=1} nu(phi_m) (1 - e^{-lambda_m t})/(lambda_m t) phi_m,
-    evaluated where the mode table phi (`basis.eval_modes(x)`) was; by
-    default on the basis grid.  One table serves every t.
+    on the basis grid, or with n_nodes on the uniform grid
+    np.linspace(a, b, n_nodes) (`SpectralBasis.grid_series`).
     """
     if basis.domain.boundary != NEUMANN:
         raise SeriesError("mean empirical density needs a Neumann basis")
@@ -327,7 +328,9 @@ def mean_empirical_density(nu_coeffs, basis: SpectralBasis, t: float, phi=None):
     lam = basis.eigenvalues
     coef = np.zeros(basis.M)
     coef[1:] = nu_c[1:] * (-np.expm1(-lam[1:] * t)) / (lam[1:] * t)
-    return 1.0 + coef @ (basis.eigenfunctions if phi is None else phi)
+    if n_nodes is None:
+        return 1.0 + coef @ basis.eigenfunctions
+    return 1.0 + basis.grid_series(coef, n_nodes)
 
 
 # ---------------------------------------------------------------------------

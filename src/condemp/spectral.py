@@ -7,6 +7,13 @@ potential.  A basis bundles eigenvalues, eigenfunction samples on
 an interior Gauss-Legendre quadrature grid, quadrature weights representing
 the probability measure mu = e^V dx / Z, and per-mode sup-norm data for the
 ground-state ratio phi_m / phi_0.
+
+Closed-form modes at arbitrary points come from one outer(k, pi u) table per
+axis.  Series on a uniform interval grid (`SpectralBasis.grid_series`) build
+no table: every closed-form product phi_m phi_n is a sum of two cosines of
+the unit coordinate, so the series folds exactly into cosine coefficients
+and one type-I DCT evaluates them (`cosine_series`).  Numeric
+Sturm-Liouville bases evaluate the same series through their mode table.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
+from scipy.fft import dct
 from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh, eigh_tridiagonal
 
@@ -35,6 +43,7 @@ __all__ = [
     "gauss_legendre",
     "analytic_eigenvalues",
     "mode_table",
+    "cosine_series",
     "bessel_remainder",
 ]
 
@@ -111,6 +120,20 @@ def _axis_factors(k: np.ndarray, u: np.ndarray, boundary: str, ratio: bool) -> n
     return vals
 
 
+def cosine_series(a, n: int) -> np.ndarray:
+    """sum_p a_p cos(p pi u) at the n nodes u_j = j / (n - 1) of [0, 1], by one
+    type-I DCT.  On the grid cos(p pi u_j) is even and 2 (n - 1)-periodic in
+    p, so a phase p > n - 1 folds exactly onto p mod 2 (n - 1), reflected
+    about n - 1."""
+    if n < 2:
+        raise BasisError(f"a uniform grid needs at least 2 nodes, got {n}")
+    period = 2 * (n - 1)
+    p = np.arange(np.size(a)) % period
+    x = np.bincount(np.minimum(p, period - p), weights=np.ravel(a), minlength=n)
+    x[1:-1] *= 0.5          # DCT-I doubles the inner terms
+    return dct(x, type=1, overwrite_x=True)
+
+
 def _tensor_modes(domain: Domain, idx: np.ndarray, x, ratio: bool) -> np.ndarray:
     """Closed-form modes (or ground-state ratios) with per-axis indices idx at
     points x, (n,) on an interval or (n, 2) on a rectangle: the product over
@@ -184,6 +207,40 @@ class SpectralBasis:
         for r, m in enumerate(sel):
             out[r] = self._mode_spline(int(m))(x)
         return out
+
+    def grid_series(self, C, n: int) -> np.ndarray:
+        """sum_mn C_mn phi_m phi_n for an (M, M) block C, or sum_m c_m phi_m
+        for a vector c, on the interval grid np.linspace(a, b, n).
+
+        Closed-form modes take no table.  Dirichlet: phi_m phi_n =
+        cos((k - l) pi u) - cos((k + l) pi u) with k, l the mode indices, so
+        the block folds into 2 M + 1 cosine coefficients for `cosine_series`;
+        the series vanishes at both faces, and is set to 0 there.  Neumann:
+        phi_m = s_m cos(k pi u), s_0 = 1 and s_m = sqrt 2, and the vector is
+        row 0 of a block, since phi_0 = 1.  A Dirichlet vector (a sine
+        series) and numeric bases contract the mode table instead."""
+        dom = self.domain
+        if dom.kind != "interval":
+            raise BasisError("grid series are evaluated on intervals only")
+        C = np.asarray(C, dtype=float)
+        neumann = dom.boundary == NEUMANN
+        if not self.analytic or (C.ndim == 1 and not neumann):
+            phi = self.eval_modes(np.linspace(*dom.bounds, n))
+            return C @ phi if C.ndim == 1 else np.einsum("mj,mn,nj->j", phi, C, phi,
+                                                         optimize=True)
+        k = self.mode_indices[:, 0]
+        rows = k[:1] if C.ndim == 1 else k
+        size = 2 * int(k[-1]) + 1
+        if neumann:      # s_m s_n / 2, exactly: 1/2, sqrt(1/2) or 1
+            nonzero = (rows[:, None] > 0).astype(int) + (k > 0)
+            C = C * np.array([0.5, np.sqrt(0.5), 1.0])[nonzero]
+        w, pair = C.ravel(), np.subtract.outer(rows, k)     # one index table, reused
+        a = np.bincount(np.abs(pair, out=pair).ravel(), w, minlength=size)
+        plus = np.bincount(np.add.outer(rows, k, out=pair).ravel(), w, minlength=size)
+        f = cosine_series(a + plus if neumann else a - plus, n)
+        if not neumann:
+            f[[0, -1]] = 0.0
+        return f
 
     def eval_ratio(self, x) -> np.ndarray:
         """phi_m / phi_0 at arbitrary points with boundary limits resolved."""

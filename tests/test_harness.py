@@ -3,19 +3,20 @@ import dataclasses
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from condemp import build_analytic_basis, project, unit_interval
+from condemp import build_analytic_basis, project, solve_sturm_liouville, unit_interval
 from condemp.cli import main as cli_main
-from condemp.domains import NEUMANN
+from condemp.domains import NEUMANN, Potential
 from condemp.harness import (ConfigError, ExperimentConfig, _occupation_measures,
                              limit_report, mu0_measure, run_convergence,
-                             run_mc_crosscheck, run_sandwich, run_w2)
+                             run_mc_crosscheck, run_sandwich, run_w2, spectral_measure)
 from condemp.limits import LimitError
 from condemp.measures import GridMeasure, InitialDistribution
-from condemp.semigroup import mean_empirical_density
+from condemp.semigroup import conditional_density, mean_empirical_density
 
 CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -228,15 +229,48 @@ def test_convergence_neumann(tmp_path):
         assert not {"lower", "upper", "ordered"} & set(row)
 
 
-def test_occupation_measures_share_one_mode_table():
-    # one table for every t gives each t's density bitwise as a table of its own
+def test_occupation_measures_are_each_times_own_series():
+    # each t's density is bitwise the mean occupation series on the fine grid
     basis = build_analytic_basis(unit_interval(boundary=NEUMANN), 512)
     nu_c = project(InitialDistribution.from_point(0.0), basis)
     times, x = [4.0, 8.0, 16.0], np.linspace(0.0, 1.0, 8193)
     for t, got in zip(times, _occupation_measures(nu_c, basis, times, x.size)):
-        own = np.maximum(mean_empirical_density(nu_c, basis, t, basis.eval_modes(x)), 0.0)
+        own = np.maximum(mean_empirical_density(nu_c, basis, t, n_nodes=x.size), 0.0)
         expected = GridMeasure.normalized(x, own * basis.mu_lebesgue_at(x))
         assert np.array_equal(got.lebesgue_density, expected.lebesgue_density)
+
+
+@pytest.mark.parametrize("potential", [False, True])
+def test_spectral_measure_is_the_ratio_series(potential):
+    # the density h_t phi_0^2 mu, summed by the ratio table of h_t, to 1e-12
+    # of its peak: closed-form modes, and the table path of V(x) = 2x
+    nodes = np.linspace(0.0, 1.0, 65)
+    dom = unit_interval(potential=Potential(nodes, 2.0 * nodes) if potential else None)
+    basis = (solve_sturm_liouville(dom, 32, 2000) if potential
+             else build_analytic_basis(dom, 128))
+    x = np.linspace(0.0, 1.0, 4097)
+    for t in (0.1, 2.0, 16.0):
+        cd = conditional_density(InitialDistribution.from_mu(), basis, t)
+        table = (np.maximum(cd.evaluate(x), 0.0) * basis.eval_modes(x, modes=[0])[0] ** 2
+                 * basis.mu_lebesgue_at(x))
+        expected = GridMeasure.normalized(x, table).lebesgue_density
+        got = spectral_measure(cd, basis, x.size).lebesgue_density
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(expected)
+
+
+def test_spectral_measure_builds_no_mode_table():
+    # one float64 table of M = 512 modes on 8193 nodes is 33.6 MB; the
+    # measure's traced peak stays below a quarter of it
+    basis = build_analytic_basis(unit_interval(), 512)
+    cd = conditional_density(InitialDistribution.from_mu(), basis, 4.0)
+    spectral_measure(cd, basis, 8193)           # first-call imports stay untraced
+    tracemalloc.start()
+    try:
+        spectral_measure(cd, basis, 8193)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 8193 * 8 / 4
 
 
 def test_mc_declared_error_covers_at_benchmark_size():

@@ -90,6 +90,30 @@ def test_quantile_remembers_two_level_arrays(monkeypatch):
     assert gm.quantile(ua.reshape(20, 15)).shape == (20, 15)
 
 
+def test_quantile_cache_keys_on_the_levels(monkeypatch):
+    # an equal copy is a hit and returns the cached array itself; one ulp
+    # anywhere is a miss; a third array evicts the oldest entry
+    x = np.linspace(0, 1, 1025)
+    gm = GridMeasure(x, 2.0 * np.sin(np.pi * x) ** 2)
+    inverted = []
+    invert = GridMeasure._invert
+    monkeypatch.setattr(GridMeasure, "_invert",
+                        lambda self, u: inverted.append(u.size) or invert(self, u))
+    ua, ub = np.linspace(0.01, 0.99, 300), np.linspace(0.02, 0.98, 300)
+    qa = gm.quantile(ua)
+    assert gm.quantile(ua.copy()) is qa
+    nudged = ua.copy()
+    nudged[150] = np.nextafter(nudged[150], 1.0)
+    qn = gm.quantile(nudged)
+    assert qn is not qa and inverted == [300, 300]
+    ua[:] = 0.5                        # the cache holds its own copy of the levels
+    assert gm.quantile(np.linspace(0.01, 0.99, 300)) is qa
+    gm.quantile(ub)                    # evicts qa, the oldest
+    assert gm.quantile(nudged) is qn
+    assert gm.quantile(np.linspace(0.01, 0.99, 300)) is not qa
+    assert inverted == [300, 300, 300, 300]
+
+
 # random measures: cells or node spacings, and levels that include 0, 1,
 # the far tails and every node of the CDF table
 widths = st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=40)

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -7,10 +8,12 @@ from condemp import (build_analytic_basis, mu_coefficients, project,
                      solve_sturm_liouville, unit_interval)
 from condemp.domains import DIRICHLET, NEUMANN, Domain, DomainError, Potential, rectangle
 from condemp.measures import InitialDistribution
+from condemp.semigroup import conditional_density
 from condemp.spectral import (BasisError, ProjectionError, SpectralBasis, _axis_factors,
-                              _legendre_rule, gauss_legendre, mode_table)
+                              _legendre_rule, cosine_series, gauss_legendre, mode_table)
 
 PI2 = np.pi**2
+EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +102,92 @@ def test_ratio_factors_in_place_bitwise():
     for name, kk, u in cases:
         got = _axis_factors(kk, u, DIRICHLET, ratio=True)
         assert np.array_equal(got, _ratio_factors_reference(kk, u)), name
+
+
+# ---------------------------------------------------------------------------
+# series on a uniform grid
+# ---------------------------------------------------------------------------
+
+PI_LD = np.arccos(np.longdouble(-1.0))
+
+
+@functools.cache
+def _interval_basis(boundary, M):
+    return build_analytic_basis(unit_interval(boundary=boundary), M)
+
+
+def _direct_series(basis, C, n):
+    """The grid series by direct long-double sums at <= 12 nodes, both faces
+    included, with the long-double sum of |a_p| over its unaliased cosine
+    coefficients a_p, p = 0 .. 2 max k."""
+    j = np.unique(np.linspace(0, n - 1, 12).round().astype(int))
+    k = basis.mode_indices[:, 0]
+    arg = np.outer(k.astype(np.longdouble), PI_LD * j.astype(np.longdouble) / (n - 1))
+    root2 = np.sqrt(np.longdouble(2.0))
+    Cl = np.asarray(C, dtype=np.longdouble)
+    a = np.zeros(2 * k[-1] + 1, dtype=np.longdouble)
+    if basis.domain.boundary == NEUMANN:
+        s = np.where(k > 0, root2, 1.0)
+        phi = s[:, None] * np.cos(arg)
+        if Cl.ndim == 1:                          # the linear series
+            np.add.at(a, k, Cl * s)
+            return j, Cl @ phi, float(np.sum(np.abs(a)))
+        half = Cl * np.outer(s, s) / 2            # cos cos = (cos(-) + cos(+)) / 2
+        sign = 1.0
+    else:
+        phi = root2 * np.sin(arg)                 # 2 sin sin = cos(-) - cos(+)
+        half, sign = Cl, -1.0
+    kk, ll = np.meshgrid(k, k, indexing="ij")
+    np.add.at(a, np.abs(kk - ll), half)
+    np.add.at(a, kk + ll, sign * half)
+    return j, np.einsum("mj,mn,nj->j", phi, Cl, phi), float(np.sum(np.abs(a)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 8193])
+@pytest.mark.parametrize("M", [1, 2, 128, 512])
+@pytest.mark.parametrize("series", ["h_t block", "random block", "neumann linear",
+                                    "neumann block"])
+def test_grid_series_matches_long_double_sums(series, M, n):
+    # n = 2, 3 and 17 alias most phases onto the grid; the error stays
+    # within 8 ulp of sum |a_p|, the scale of the cosine series' terms
+    rng = np.random.default_rng(M * 10_000 + n)
+    if series == "neumann linear":
+        basis = _interval_basis(NEUMANN, M)
+        C = rng.standard_normal(M) / np.arange(1, M + 1)
+    elif series == "neumann block":
+        basis = _interval_basis(NEUMANN, M)
+        C = rng.standard_normal((M, M))
+    else:
+        basis = _interval_basis(DIRICHLET, M)
+        if series == "h_t block":
+            C = conditional_density(InitialDistribution.from_mu(), basis, 2.0).bilinear
+        else:
+            C = rng.standard_normal((M, M))
+            C += C.T
+    j, direct, scale = _direct_series(basis, C, n)
+    got = basis.grid_series(C, n)
+    assert got.shape == (n,)
+    err = np.abs(got[j] - direct).astype(float)
+    assert np.max(err) <= 8 * np.spacing(scale)
+
+
+def test_cosine_series_folds_high_phases():
+    # cos(p pi j / (n - 1)) for p up to 3 (n - 1), one phase at a time
+    n = 9
+    u = np.arange(n, dtype=np.longdouble) / (n - 1)
+    for p in range(3 * (n - 1) + 1):
+        a = np.zeros(p + 1)
+        a[p] = 1.0
+        np.testing.assert_allclose(cosine_series(a, n), np.cos(p * PI_LD * u).astype(float),
+                                   rtol=0, atol=4 * EPS)
+    with pytest.raises(BasisError):
+        cosine_series([1.0], 1)
+
+
+def test_grid_series_needs_an_interval():
+    basis = build_analytic_basis(rectangle(0.0, 1.0, 0.0, 0.5), 8)
+    with pytest.raises(BasisError, match="intervals only"):
+        basis.grid_series(np.eye(8), 17)
 
 
 def test_reject_bad_inputs():
