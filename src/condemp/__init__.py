@@ -6,9 +6,8 @@ from .domains import DIRICHLET, NEUMANN, Domain, DomainError, Potential, rectang
 from .limits import LimitReport, compute_I, compute_I_neumann, finiteness_predicate
 from .measures import GridMeasure, InitialDistribution, MeasureError
 from .mc import PathEnsembleSummary, SimulationConfig, conditional_empirical_w2, simulate
-from .semigroup import (ConditionalDensity, SeriesTruncation, conditional_density,
-                        exp_time_integral, mean_empirical_density, rho_tilde,
-                        survival_probability)
+from .semigroup import (ConditionalDensity, conditional_density, exp_time_integral,
+                        mean_empirical_density, rho_tilde, survival_probability)
 from .spectral import (SpectralBasis, build_analytic_basis, mu_coefficients, project,
                        solve_sturm_liouville)
 from .transport import (TransportResult, h_minus1_upper_bound, kantorovich_dual_lower,

@@ -72,7 +72,7 @@ def cmd_density(args) -> int:
         path = os.path.join(cfg.out, f"density_t{float(t):g}.csv")
         export_density_csv(cd, path)
         print(f"density: t={t:g} mass={cd.mass:.9f} min={cd.min_value:.3e} "
-              f"tail<={cd.truncation.tail_estimate:.2e} -> {path}")
+              f"tail<={cd.tail_bound:.2e} -> {path}")
     return 0
 
 

@@ -46,9 +46,6 @@ class Potential:
     def __call__(self, x):
         return self.spline()(np.asarray(x, dtype=float))
 
-    def derivative(self, x):
-        return self.spline()(np.asarray(x, dtype=float), 1)
-
 
 @dataclass(frozen=True)
 class Domain:

@@ -75,12 +75,7 @@ class ExperimentConfig:
         # stops being half the main one
         if self.n_quantiles < 4000:
             raise ConfigError(f"n_quantiles must be at least 4000, got {self.n_quantiles}")
-        kind = self.nu_spec.get("kind", "mu") if isinstance(self.nu_spec, dict) else None
-        if kind not in _NU_FIELDS:
-            raise ConfigError(f"unknown nu kind {kind!r}; choose from {list(_NU_FIELDS)}")
-        missing = [k for k in _NU_FIELDS[kind] if k not in self.nu_spec]
-        if missing:
-            raise ConfigError(f"nu of kind {kind!r} needs {missing}")
+        _check_nu(self.nu_spec, self.domain)
         _check_mc(self.mc)
 
     @classmethod
@@ -132,22 +127,57 @@ class ExperimentConfig:
         return solve_sturm_liouville(self.domain, self.modes, max(8 * self.modes, 2000))
 
 
+def _real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _finite_numbers(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(_real(x) and np.isfinite(x) for x in v)
+
+
+def _check_nu(spec, domain: Domain):
+    """Reject starts that would fail only mid-run, or run on an extrapolated
+    density: rectangles take mu, mu0 and point; a tabulated density is
+    interpolated on nodes that cover the interval."""
+    kind = spec.get("kind", "mu") if isinstance(spec, dict) else None
+    if kind not in _NU_FIELDS:
+        raise ConfigError(f"unknown nu kind {kind!r}; choose from {list(_NU_FIELDS)}")
+    missing = [k for k in _NU_FIELDS[kind] if k not in spec]
+    if missing:
+        raise ConfigError(f"nu of kind {kind!r} needs {missing}")
+    if kind == "point":
+        x = spec["x"] if isinstance(spec["x"], (list, tuple)) else [spec["x"]]
+        if not (_finite_numbers(x) and len(x) == domain.dim):
+            raise ConfigError(f"nu.x must hold {domain.dim} finite number(s), one per "
+                              f"axis of the {domain.kind}, got {spec['x']!r}")
+    if kind != "density_mu":
+        return
+    if domain.kind != "interval":
+        raise ConfigError("nu.kind 'density_mu' needs an interval domain (its table "
+                          "is interpolated in 1D); rectangles take mu, mu0 and point")
+    nodes, values = spec["nodes"], spec["values"]
+    if not (_finite_numbers(nodes) and _finite_numbers(values)
+            and len(nodes) == len(values) >= 2):
+        raise ConfigError("nu.nodes and nu.values must be lists of finite numbers "
+                          "of one length, at least 2")
+    a, b = domain.bounds
+    if any(n2 <= n1 for n1, n2 in zip(nodes, nodes[1:])) or nodes[0] > a or nodes[-1] < b:
+        raise ConfigError(f"nu.nodes must be strictly increasing and cover [{a:g}, {b:g}]")
+
+
 def _check_mc(mc: dict):
     """Reject MC values that would fail only mid-run, or run and mislead."""
-    def real(v):
-        return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
     for key in ("dt", "horizon"):
-        if key in mc and not (real(mc[key]) and np.isfinite(mc[key]) and mc[key] > 0):
+        if key in mc and not (_real(mc[key]) and np.isfinite(mc[key]) and mc[key] > 0):
             raise ConfigError(f"mc.{key} must be finite and positive, got {mc[key]!r}")
     # with one island every bootstrap resample is the same island
     for key, least in (("n_paths", 1), ("n_bins", 1), ("islands", 2)):
         v = mc.get(key)
-        if key in mc and not (real(v) and float(v).is_integer() and v >= least):
+        if key in mc and not (_real(v) and float(v).is_integer() and v >= least):
             raise ConfigError(f"mc.{key} must be an integer of at least {least}, got {v!r}")
     ts = mc.get("slope_times")
     if "slope_times" in mc and not (
-            isinstance(ts, (list, tuple)) and ts and all(real(t) for t in ts)
+            isinstance(ts, (list, tuple)) and ts and all(_real(t) for t in ts)
             and ts[0] > 0 and all(t2 > t1 for t1, t2 in zip(ts, ts[1:]))):
         raise ConfigError("mc.slope_times must be a nonempty list of positive, "
                           f"increasing times, got {ts!r}")
@@ -309,7 +339,7 @@ def limit_report(config: ExperimentConfig, basis: SpectralBasis) -> LimitReport:
     if nu.kind == "point" and dom.potential is None and dom.kind == "interval":
         M_I = max(config.modes, 2000)
         a, b = dom.bounds
-        u = (float(config.nu_spec["x"]) - a) / (b - a)
+        u = (float(np.ravel(nu.point)[0]) - a) / (b - a)
         nu_c = np.sqrt(2.0) * np.cos(np.arange(M_I) * np.pi * u)
         nu_c[0] = 1.0
         return compute_I_neumann(nu_c, analytic_eigenvalues(dom, M_I), tol=tol)
@@ -391,7 +421,7 @@ def killed_row(config: ExperimentConfig, basis: SpectralBasis, t: float,
             "upper": upper["upper_bound"], "w2": res.w2, "w2_error": res.error_estimate,
             "lower_slack": lower["conjugation_slack"], "upper_strip": upper["boundary_strip"],
             "excluded_nodes": upper["excluded_nodes"], "ordered": bool(ordered),
-            "modes": basis.M, "tail_bound": cd.truncation.tail_estimate, "seed": config.seed}
+            "modes": basis.M, "tail_bound": cd.tail_bound, "seed": config.seed}
 
 
 def run_w2(config: ExperimentConfig, t: float) -> dict:

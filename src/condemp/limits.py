@@ -17,7 +17,6 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .measures import InitialDistribution
 from .spectral import bessel_remainder, weyl_floor
 
 __all__ = ["LimitError", "LimitReport", "compute_I", "compute_I_neumann",
@@ -106,7 +105,7 @@ def compute_I(nu_coeffs, mu_coeffs, eigenvalues, tol: float = 1e-10,
     positive = value > ZERO_LIMIT_FLOOR
     report = LimitReport(
         I_value=value, partial_sums=partial, tail_bound=float(tail),
-        positive=positive, finiteness=finiteness_predicate(d, None),
+        positive=positive, finiteness=finiteness_predicate(d),
         modes_used=M, boundary="dirichlet",
         inputs={"nu": nu_c.tolist(), "mu": mu_c.tolist(), "eigenvalues": lam.tolist()})
     if tail > tol:
@@ -154,24 +153,8 @@ def compute_I_neumann(nu_coeffs, eigenvalues, tol: float = 1e-9) -> LimitReport:
     return report
 
 
-def finiteness_predicate(d: int, nu: InitialDistribution | None,
-                         quadrature=None) -> str:
-    """Sufficient-condition classification for finiteness of the limit.
-
-    d <= 6 is always guaranteed.  For d >= 7 a density start with a finite
-    L^{2d/(d+6)} norm against mu is guaranteed; anything else (in particular
-    point masses) is reported as not guaranteed.  No converse is implied.
-    """
-    if d <= 6:
-        return "guaranteed(d<=6)"
-    if nu is None or nu.kind == "point":
-        return "not-guaranteed"
-    p = 2.0 * d / (d + 6.0)
-    if quadrature is not None:
-        nodes, weights = quadrature
-        h = np.asarray(nu.density_on(nodes), dtype=float)
-        norm = float(np.dot(np.abs(h) ** p, weights)) ** (1.0 / p)
-        if not np.isfinite(norm):
-            return "not-guaranteed"
-        return f"guaranteed(h in L^{p:g}, norm={norm:.6g})"
-    return f"guaranteed(h in L^{p:g})"
+def finiteness_predicate(d: int) -> str:
+    """Sufficient-condition classification for finiteness of the limit:
+    guaranteed for every start when d <= 6, else not guaranteed.  No
+    converse is implied."""
+    return "guaranteed(d<=6)" if d <= 6 else "not-guaranteed"

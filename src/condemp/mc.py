@@ -121,9 +121,7 @@ def _sample_initial(dist: InitialDistribution, domain: Domain, rng, n: int) -> n
             raise SimulationError("point mass outside the domain")
         return np.full(n, x0)
     grid = np.linspace(a, b, 2049)
-    dens = dist.density_on(grid)
-    if dist.kind == "density_mu":
-        dens = dens * np.exp(domain.potential_values(grid))
+    dens = dist.density_on(grid) * np.exp(domain.potential_values(grid))
     return GridMeasure.normalized(grid, dens).quantile(rng.random(n))
 
 

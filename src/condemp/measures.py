@@ -9,8 +9,8 @@ are inverted there, in cache-sized blocks of levels: linear interpolation,
 exact on linear CDF pieces, then a bracketed Newton iteration on the
 cell's polynomial.
 
-InitialDistribution describes a starting law nu: a density against mu, an
-interior point mass, or a raw Lebesgue density on its own grid.
+InitialDistribution describes a starting law nu: a density against mu or an
+interior point mass.
 """
 
 from __future__ import annotations
@@ -37,10 +37,9 @@ class MeasureError(ValueError):
 class InitialDistribution:
     """Starting law nu with nu(interior) > 0.
 
-    kind: "density_mu"   -- density h w.r.t. mu, as a callable or as values
-                            that `density_on` will interpolate if needed;
-          "point"        -- interior point mass;
-          "grid_density" -- Lebesgue density tabulated on `nodes`.
+    kind: "density_mu" -- density h w.r.t. mu, as a callable or as values
+                          on `nodes` that `density_on` interpolates if needed;
+          "point"      -- interior point mass.
     """
 
     kind: str
@@ -63,16 +62,13 @@ class InitialDistribution:
         return cls(kind="point", point=np.asarray(x0, dtype=float),
                    name=name or f"delta@{np.asarray(x0, dtype=float)}")
 
-    @classmethod
-    def from_grid_density(cls, nodes, values, name: str = "grid") -> "InitialDistribution":
-        return cls(kind="grid_density", nodes=np.asarray(nodes, dtype=float),
-                   density=np.asarray(values, dtype=float), name=name)
-
     def label(self) -> str:
         return self.name or self.kind
 
     def density_on(self, x) -> np.ndarray:
-        """Density values at query points (kind-dependent reference measure)."""
+        """Density against mu at query points: the callable's values, a table
+        on its own nodes (interval or rectangle grid) or its PCHIP interpolant
+        (intervals)."""
         if self.kind == "point":
             raise MeasureError("point mass has no density")
         if callable(self.density):
@@ -81,13 +77,11 @@ class InitialDistribution:
             vals = np.asarray(self.density(x), dtype=float)
             return np.broadcast_to(vals, (n,)).astype(float) if vals.ndim == 0 else vals
         vals = np.asarray(self.density, dtype=float)
-        if self.nodes is None:
-            return vals        # caller aligned the grid
         x_arr = np.asarray(x, dtype=float)
-        if x_arr.ndim != 1:
-            raise MeasureError("tabulated densities are 1D only")
-        if vals.size == x_arr.size and np.allclose(self.nodes, x_arr):
+        if x_arr.shape == self.nodes.shape and np.allclose(self.nodes, x_arr):
             return vals
+        if x_arr.ndim != 1:
+            raise MeasureError("tabulated densities are interpolated in 1D only")
         return PchipInterpolator(self.nodes, vals)(x_arr)
 
 

@@ -22,7 +22,6 @@ from .spectral import (SpectralBasis, bessel_remainder, mu_coefficients,
 
 __all__ = [
     "SeriesError",
-    "SeriesTruncation",
     "ConditionalDensity",
     "RhoTilde",
     "exp_time_integral",
@@ -40,14 +39,6 @@ DEGENERATE_SWITCH = 1e-6    # |a-b| * t below this uses the Taylor branch
 
 class SeriesError(ValueError):
     pass
-
-
-@dataclass
-class SeriesTruncation:
-    """Mode cutoff with an a-posteriori dominated tail bound."""
-
-    M: int
-    tail_estimate: float
 
 
 def _coeff_envelope(coeffs: np.ndarray):
@@ -141,7 +132,7 @@ class ConditionalDensity:
     t: float
     grid_values: np.ndarray        # h on the basis quadrature grid
     normalization: float           # e^{lambda_0 t} * survival probability
-    truncation: SeriesTruncation
+    tail_bound: float              # dominated bound on the series dropped beyond basis.M
     basis: SpectralBasis = field(repr=False)
     bilinear: np.ndarray = field(repr=False)      # nu_m mu_n E_mn, (M, M)
     mass: float
@@ -151,9 +142,8 @@ class ConditionalDensity:
         """h_t at arbitrary points via the stored double series."""
         return _density(self.basis.eval_ratio(x), self.bilinear, self.t * self.normalization)
 
-    def fluctuation(self, x=None) -> np.ndarray:
-        vals = self.grid_values if x is None else self.evaluate(x)
-        return vals - 1.0
+    def fluctuation(self) -> np.ndarray:
+        return self.grid_values - 1.0
 
 
 def conditional_density(nu: InitialDistribution, basis: SpectralBasis,
@@ -188,9 +178,8 @@ def conditional_density(nu: InitialDistribution, basis: SpectralBasis,
     mass = basis.integrate_mu0(h)
     hmin = float(np.min(h))
     tail = _rho_tail_bound(nu_c, mu_c, basis, t, Z, nu_l2=nu_l2)
-    trunc = SeriesTruncation(M=basis.M, tail_estimate=tail)
     cd = ConditionalDensity(
-        t=t, grid_values=h, normalization=Z, truncation=trunc, basis=basis,
+        t=t, grid_values=h, normalization=Z, tail_bound=tail, basis=basis,
         bilinear=C, mass=mass, min_value=hmin)
     if abs(mass - 1.0) > 1e-6:
         raise SeriesError(f"conditional density mass {mass} off by more than 1e-6")
@@ -257,25 +246,21 @@ class RhoTilde:
 
     t: float
     coeffs: np.ndarray            # gamma_m, gamma_0 = 0
-    normalization: float
     values: np.ndarray
 
 
-def rho_tilde(nu_coeffs, mu_coeffs, basis: SpectralBasis, t: float,
-              normalization: float | None = None) -> RhoTilde:
+def rho_tilde(nu_coeffs, mu_coeffs, basis: SpectralBasis, t: float) -> RhoTilde:
     """The explicit rank-like part of the fluctuation, exactly 1/t-scaled."""
     if t <= 0:
         raise SeriesError("need t > 0")
     nu_c = np.asarray(nu_coeffs)
     mu_c = np.asarray(mu_coeffs)
     a = basis.gaps
-    Z = normalization
-    if Z is None:
-        Z = float(np.sum(nu_c * mu_c * np.exp(-a * t)))
+    Z = float(np.sum(nu_c * mu_c * np.exp(-a * t)))
     gamma = np.zeros(basis.M)
     gamma[1:] = (mu_c[0] * nu_c[1:] + nu_c[0] * mu_c[1:]) / (a[1:] * t * Z)
     vals = gamma @ basis.ground_ratio
-    return RhoTilde(t=t, coeffs=gamma, normalization=Z, values=vals)
+    return RhoTilde(t=t, coeffs=gamma, values=vals)
 
 
 def fluctuation_remainder(nu_coeffs, mu_coeffs, basis: SpectralBasis, t: float):
@@ -346,7 +331,7 @@ def export_density_csv(cd: ConditionalDensity, path, n_nodes: int = 1025):
     phi0 = basis.eval_modes(x, modes=[0])[0]
     mu0 = phi0**2 * basis.mu_lebesgue_at(x)
     with open(path, "w", newline="") as fh:
-        fh.write(f"# t={float(cd.t)!r} M={cd.truncation.M} tail_estimate={float(cd.truncation.tail_estimate)!r}\n")
+        fh.write(f"# t={float(cd.t)!r} M={basis.M} tail_estimate={float(cd.tail_bound)!r}\n")
         writer = csv.writer(fh)
         writer.writerow(["x", "h_t", "mu0_density"])
         for row in zip(x, h, mu0):

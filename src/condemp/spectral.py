@@ -268,12 +268,6 @@ class SpectralBasis:
             out[:, inner] = (np.pi / L) * (k[:, None] * np.cos(ku) * s - np.sin(ku) * c) / s**2
             # interior limit at the faces is 0 by symmetry of the ratio
             return out
-        if self.analytic and self.domain.boundary == NEUMANN:
-            a, b = self.domain.bounds
-            L = b - a
-            u = (x - a) / L
-            k = np.arange(self.M)
-            return -np.sqrt(2.0) * (np.pi * k[:, None] / L) * np.sin(np.outer(k, np.pi * u))
         ratio = self.eval_ratio(self.grid)
         out = np.empty((self.M, x.size))
         for m in range(self.M):
@@ -547,24 +541,20 @@ def project(measure: InitialDistribution, basis: SpectralBasis) -> np.ndarray:
             raise ProjectionError(f"point mass at {measure.point} lies outside the domain")
         return basis.eval_modes(x0)[:, 0]
 
-    if kind in ("density_mu", "grid_density"):
+    if kind == "density_mu":
         h = measure.density_on(basis.grid)
-        if kind == "grid_density":
-            # raw Lebesgue density tabulated on the measure's own nodes
-            h = h / basis.mu_lebesgue
-        _validate_density(h, basis.weights,
-                          what="density w.r.t. mu" if kind == "density_mu" else "grid density")
+        _validate_density(h, basis.weights)
         return basis.eigenfunctions @ (h * basis.weights)
 
     raise ProjectionError(f"unknown initial distribution kind {kind!r}")
 
 
-def _validate_density(h: np.ndarray, weights: np.ndarray, what: str):
+def _validate_density(h: np.ndarray, weights: np.ndarray):
     if np.min(h) < -1e-12:
-        raise ProjectionError(f"{what} has negative values (min {np.min(h):.3e})")
+        raise ProjectionError(f"density w.r.t. mu has negative values (min {np.min(h):.3e})")
     mass = float(np.dot(h, weights))
     if abs(mass - 1.0) > 1e-8:
-        raise ProjectionError(f"{what} mass {mass} differs from 1 beyond 1e-8")
+        raise ProjectionError(f"density w.r.t. mu mass {mass} differs from 1 beyond 1e-8")
 
 
 def mu_coefficients(basis: SpectralBasis) -> np.ndarray:

@@ -1,28 +1,13 @@
-"""Remaining operation surfaces: raw grid-density projection, the MC
-cross-check runner, and the mode-doubling stability of reported
-distances."""
+"""Remaining operation surfaces: the MC cross-check runner and the
+mode-doubling stability of reported distances."""
 
 import json
 
 import numpy as np
 import pytest
 
-from condemp import project
 from condemp.cli import main as cli_main
 from condemp.harness import ExperimentConfig, run_convergence, run_mc_crosscheck
-from condemp.measures import GridMeasure, InitialDistribution
-
-
-def test_project_raw_grid_density(dirichlet_basis_64):
-    basis = dirichlet_basis_64
-    nodes = np.linspace(0.0, 1.0, 4097)
-    vals = 2.0 * np.sin(np.pi * nodes) ** 2      # Lebesgue density of mu_0
-    nu = InitialDistribution.from_grid_density(nodes, vals)
-    got = project(nu, basis)
-    ref = project(InitialDistribution(kind="density_mu",
-                                      density=basis.ground_state**2,
-                                      nodes=basis.grid), basis)
-    assert np.max(np.abs(got - ref)) <= 1e-6
 
 
 def test_mc_crosscheck_runner(tmp_path):

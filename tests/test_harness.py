@@ -104,6 +104,14 @@ def test_bad_numbers_rejected_naming_the_key(tmp_path, capsys, source, key, valu
     assert not os.path.exists(os.path.join(out, "limit.json"))
 
 
+RECTANGLE = {"kind": "rectangle", "bounds": [0.0, 1.0, 0.0, 0.5], "boundary": "dirichlet"}
+NEUMANN_INTERVAL = {"kind": "interval", "bounds": [0.0, 1.0], "boundary": "neumann"}
+
+
+def _density_nu(nodes, values):
+    return {"nu": {"kind": "density_mu", "nodes": nodes, "values": values}}
+
+
 BAD_AT_LOAD = {
     "mc.dt-0": ({"mc": {"dt": 0}}, "mc.dt must be finite and positive"),
     "mc.dt-inf": ({"mc": {"dt": float("inf")}}, "mc.dt must be finite and positive"),
@@ -120,6 +128,22 @@ BAD_AT_LOAD = {
     "nu-density-no-nodes": ({"nu": {"kind": "density_mu", "values": [1.0]}},
                             "nu of kind 'density_mu' needs \\['nodes'\\]"),
     "nu-unknown": ({"nu": {"kind": "bogus"}}, "unknown nu kind 'bogus'"),
+    "nu-density-rectangle": ({"domain": RECTANGLE, **_density_nu([0.0, 1.0], [1.0, 1.0])},
+                             "nu.kind 'density_mu' needs an interval domain"),
+    "nu-values-nan": (_density_nu([0.0, 0.5, 1.0], [1.0, float("nan"), 1.0]),
+                      "nu.nodes and nu.values must be lists of finite numbers"),
+    "nu-values-one": (_density_nu([0.0], [1.0]), "of one length, at least 2"),
+    "nu-nodes-str": (_density_nu("0 1", [1.0, 1.0]), "nu.nodes and nu.values must be lists"),
+    "nu-density-lengths": (_density_nu([0.0, 0.5, 1.0], [1.0, 1.0]), "of one length"),
+    "nu-nodes-order": (_density_nu([0.0, 0.6, 0.5, 1.0], [1.0] * 4),
+                       "nu.nodes must be strictly increasing and cover \\[0, 1\\]"),
+    "nu-nodes-inside": (_density_nu([0.2, 0.5, 0.8], [1.0] * 3),
+                        "nu.nodes must be strictly increasing and cover \\[0, 1\\]"),
+    "nu-point-two-on-interval": ({"nu": {"kind": "point", "x": [0.3, 0.4]}},
+                                 "nu.x must hold 1 finite number"),
+    "nu-point-one-on-rectangle": ({"domain": RECTANGLE, "nu": {"kind": "point", "x": 0.3}},
+                                  "nu.x must hold 2 finite number"),
+    "nu-point-str": ({"nu": {"kind": "point", "x": "middle"}}, "nu.x must hold 1 finite number"),
     "n_quantiles-3999": ({"n_quantiles": 3999}, "n_quantiles must be at least 4000"),
     "n_quantiles-0": ({"n_quantiles": 0}, "n_quantiles must be at least 4000"),
     "modes_limit": ({"modes_limit": 2000}, "unknown config keys: \\['modes_limit'\\]"),
@@ -136,10 +160,6 @@ def test_bad_values_rejected_at_load(tmp_path, capsys, overrides, message):
     assert run_cli("limit", "--config", str(path), "--out", out) == 2
     assert "error: " in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "limit.json"))
-
-
-RECTANGLE = {"kind": "rectangle", "bounds": [0.0, 1.0, 0.0, 0.5], "boundary": "dirichlet"}
-NEUMANN_INTERVAL = {"kind": "interval", "bounds": [0.0, 1.0], "boundary": "neumann"}
 
 
 def _no_basis(self):
@@ -171,6 +191,46 @@ def test_rectangle_rejected_where_measures_are_1d(tmp_path, capsys, monkeypatch)
         assert run_cli(command, "--config", str(cfg_path), "--out", out) == 2
         assert f"error: {command} needs boundary 'dirichlet', got 'neumann'" in \
             capsys.readouterr().err
+
+
+def _start(kind, domain):
+    if kind == "point":
+        return {"kind": "point", "x": 0.3 if domain == "interval" else [0.3, 0.2]}
+    if kind == "density_mu":     # 1/2 + x: its PCHIP interpolant is exact
+        return {"kind": "density_mu", "nodes": [0.0, 0.5, 1.0], "values": [0.5, 1.0, 1.5]}
+    return {"kind": kind}
+
+
+@pytest.mark.parametrize("domain", ["interval", "rectangle"])
+@pytest.mark.parametrize("kind", ["mu", "mu0", "point", "density_mu"])
+def test_every_start_runs_limit_or_is_rejected_at_load(tmp_path, kind, domain):
+    # a point start on a rectangle leaves a 1.5e-5 tail at 24 modes: tol 1e-4
+    doc = dict(BASE_CONFIG, nu=_start(kind, domain), modes=24, tol=1e-4)
+    if domain == "rectangle":
+        doc["domain"] = RECTANGLE
+    if (kind, domain) == ("density_mu", "rectangle"):
+        with pytest.raises(ConfigError, match="nu.kind 'density_mu' needs an interval"):
+            ExperimentConfig.from_dict(doc)
+        return
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "res"
+    assert run_cli("limit", "--config", str(path), "--out", str(out)) == 0
+    limit = json.loads((out / "limit.json").read_text())
+    assert limit["positive"] and limit["finiteness"] == "guaranteed(d<=6)"
+    if kind == "mu0":
+        # nu(phi_0) = mu(phi_0^3): 8 sqrt(2) / 3 pi per axis
+        axis = 8.0 * np.sqrt(2.0) / (3.0 * np.pi)
+        want = axis if domain == "interval" else axis**2
+        assert limit["inputs"]["nu"][0] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))
+def test_shipped_config_runs_limit(tmp_path, name):
+    # a load-time check can never reject a config the repository ships
+    out = tmp_path / "res"
+    assert run_cli("limit", "--config", os.path.join(CONFIGS, name), "--out", str(out)) == 0
+    assert json.loads((out / "limit.json").read_text())["positive"]
 
 
 # ---------------------------------------------------------------------------

@@ -410,8 +410,9 @@ ENGINE_CASES = {
         n_bins=64),
     "resampled-drift-grid-density": lambda: SimulationConfig(
         domain=_drifted_interval(), dt=1e-3, horizon=0.3, n_paths=1500, seed=8,
-        initial=InitialDistribution.from_grid_density(
-            np.linspace(0.0, 1.0, 17), 1.0 + np.linspace(0.0, 1.0, 17)),
+        initial=InitialDistribution(
+            kind="density_mu", density=1.0 + np.linspace(0.0, 1.0, 17),
+            nodes=np.linspace(0.0, 1.0, 17)),
         boundary_rule="kill", resample=True, islands=5, checkpoints=(0.1, 0.3)),
     "point-start": lambda: kill_config(
         n_paths=5000, horizon=0.2, initial=InitialDistribution.from_point(0.3),
