@@ -65,12 +65,21 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # also runs on dataclasses.replace, which the CLI overrides go through
+        for key in ("modes", "grid_nodes", "n_quantiles", "seed"):
+            v = getattr(self, key)
+            if not _integer(v):
+                raise ConfigError(f"{key} must be an integer, got {v!r}")
+            setattr(self, key, int(v))
+        if not (_real(self.tol) and np.isfinite(self.tol) and self.tol > 0):
+            raise ConfigError(f"tol must be a finite positive number, got {self.tol!r}")
+        self.tol = float(self.tol)
+        if self.w2_method not in W2_METHODS:
+            raise ConfigError(f"unknown w2_method {self.w2_method!r}; "
+                              f"choose from {list(W2_METHODS)}")
         if self.modes < 1:
             raise ConfigError(f"modes must be at least 1, got {self.modes}")
         if self.grid_nodes < 2:
             raise ConfigError(f"grid_nodes must be at least 2, got {self.grid_nodes}")
-        if not (np.isfinite(self.tol) and self.tol > 0):
-            raise ConfigError(f"tol must be finite and positive, got {self.tol}")
         # _quantile_grid floors smaller counts, and its comparison grid
         # stops being half the main one
         if self.n_quantiles < 4000:
@@ -97,22 +106,11 @@ class ExperimentConfig:
             raise ConfigError(f"times must be a nonempty list of positive times, got {times}")
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ConfigError("time grid must be strictly increasing")
-        w2_method = str(doc.get("w2_method", "quantile1d"))
-        if w2_method not in W2_METHODS:
-            raise ConfigError(f"unknown w2_method {w2_method!r}; choose from {list(W2_METHODS)}")
-        return cls(
-            domain=Domain.from_dict(doc["domain"]),
-            nu_spec=doc.get("nu", {"kind": "mu"}),
-            times=times,
-            modes=int(doc.get("modes", 128)),
-            tol=float(doc.get("tol", 1e-8)),
-            w2_method=w2_method,
-            n_quantiles=int(doc.get("n_quantiles", 100_000)),
-            grid_nodes=int(doc.get("grid_nodes", 8193)),
-            mc=mc,
-            seed=int(doc.get("seed", 20240915)),
-            out=doc.get("out"),
-        )
+        present = {key: doc[key] for key in
+                   ("modes", "tol", "w2_method", "n_quantiles", "grid_nodes", "seed", "out")
+                   if key in doc}
+        return cls(domain=Domain.from_dict(doc["domain"]), nu_spec=doc.get("nu", {"kind": "mu"}),
+                   times=times, mc=mc, **present)
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
@@ -129,6 +127,10 @@ class ExperimentConfig:
 
 def _real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _integer(v) -> bool:
+    return _real(v) and float(v).is_integer()
 
 
 def _finite_numbers(v) -> bool:
@@ -160,6 +162,10 @@ def _check_nu(spec, domain: Domain):
             and len(nodes) == len(values) >= 2):
         raise ConfigError("nu.nodes and nu.values must be lists of finite numbers "
                           "of one length, at least 2")
+    # spectral._validate_density's threshold; PCHIP does not undershoot its data
+    if min(values) < -1e-12:
+        raise ConfigError(f"nu.values must be nonnegative (a density against mu), "
+                          f"got {min(values)!r}")
     a, b = domain.bounds
     if any(n2 <= n1 for n1, n2 in zip(nodes, nodes[1:])) or nodes[0] > a or nodes[-1] < b:
         raise ConfigError(f"nu.nodes must be strictly increasing and cover [{a:g}, {b:g}]")
@@ -173,7 +179,7 @@ def _check_mc(mc: dict):
     # with one island every bootstrap resample is the same island
     for key, least in (("n_paths", 1), ("n_bins", 1), ("islands", 2)):
         v = mc.get(key)
-        if key in mc and not (_real(v) and float(v).is_integer() and v >= least):
+        if key in mc and not (_integer(v) and v >= least):
             raise ConfigError(f"mc.{key} must be an integer of at least {least}, got {v!r}")
     ts = mc.get("slope_times")
     if "slope_times" in mc and not (
@@ -311,11 +317,11 @@ class ConvergenceReport:
             "boundary": self.boundary,
         }
 
-    def save(self, out_dir, stem: str = "convergence"):
-        _dump(self.to_dict(), out_dir, stem + ".json")
+    def save(self, out_dir):
+        _dump(self.to_dict(), out_dir, "convergence.json")
         cols = ["t", "w2", "t2w2sq", "I", "rel_gap", "upper", "lower",
                 "method", "w2_error", "tail_bound", "modes", "seed"]
-        with open(os.path.join(out_dir, stem + ".csv"), "w", newline="") as fh:
+        with open(os.path.join(out_dir, "convergence.csv"), "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=cols)
             writer.writeheader()
             for row in self.rows:
@@ -450,20 +456,18 @@ def run_mc_crosscheck(config: ExperimentConfig) -> dict:
     """Spectral-vs-MC comparison: survival decay, occupation, two limits."""
     basis = interval_basis(config, "mc")
     nu = resolve_nu(config.nu_spec, basis)
-    mc_cfg = dict(config.mc)
-    dt = float(mc_cfg.get("dt", 1e-3))
-    n_paths = int(mc_cfg.get("n_paths", 100_000))
-    n_bins = int(mc_cfg.get("n_bins", 256))
-    islands = int(mc_cfg.get("islands", 24))
-    horizon = float(mc_cfg.get("horizon", config.times[0]))
-    out: dict = {"seed": config.seed, "dt": dt, "n_paths": n_paths,
+    mc_cfg = config.mc
+    base = SimulationConfig(
+        domain=config.domain, dt=float(mc_cfg.get("dt", 1e-3)),
+        horizon=float(mc_cfg.get("horizon", config.times[0])),
+        n_paths=int(mc_cfg.get("n_paths", 100_000)), seed=config.seed, initial=nu,
+        **{key: int(mc_cfg[key]) for key in ("n_bins", "islands") if key in mc_cfg})
+    n_paths, horizon = base.n_paths, base.horizon
+    out: dict = {"seed": config.seed, "dt": base.dt, "n_paths": n_paths,
                  "horizon": horizon}
 
     if basis.domain.boundary == NEUMANN:
-        sim = simulate(SimulationConfig(
-            domain=config.domain, dt=dt, horizon=horizon, n_paths=n_paths,
-            seed=config.seed, initial=nu, boundary_rule="reflect",
-            n_bins=n_bins))
+        sim = simulate(replace(base, boundary_rule="reflect"))
         nu_c = project(nu, basis)
         ref = mean_occupation_measure(nu_c, basis, horizon, config.grid_nodes)
         occ = sim.occupation_measure()
@@ -475,10 +479,7 @@ def run_mc_crosscheck(config: ExperimentConfig) -> dict:
 
     # killed case: survival slope on a feasible window
     slope_times = tuple(mc_cfg.get("slope_times", (0.2, 0.4, 0.6, 0.8)))
-    slope_sim = simulate(SimulationConfig(
-        domain=config.domain, dt=dt, horizon=max(slope_times),
-        n_paths=n_paths, seed=config.seed, initial=nu,
-        boundary_rule="kill", n_bins=n_bins, checkpoints=slope_times))
+    slope_sim = simulate(replace(base, horizon=max(slope_times), checkpoints=slope_times))
     counts = np.array([slope_sim.checkpoint_survival[t] * n_paths
                        for t in slope_times])
     ts = np.array(slope_times)
@@ -493,10 +494,7 @@ def run_mc_crosscheck(config: ExperimentConfig) -> dict:
     nu_c = project(nu, basis)
     expected = survival_probability(nu_c, mu_c, basis.eigenvalues, horizon)
     resample = bool(mc_cfg.get("resample", expected * n_paths < 1000))
-    occ_sim = simulate(SimulationConfig(
-        domain=config.domain, dt=dt, horizon=horizon, n_paths=n_paths,
-        seed=config.seed + 1, initial=nu, boundary_rule="kill",
-        resample=resample, n_bins=n_bins, islands=islands))
+    occ_sim = simulate(replace(base, seed=config.seed + 1, resample=resample))
     out["resample"] = resample
     out["expected_survival"] = float(expected)
 

@@ -23,6 +23,14 @@ particles branch from a surviving one and inherit its occupation record.
 The mean over final particles of the inherited occupation estimates the
 conditional time-averaged occupation; island replication gives honest
 standard errors.
+
+One block kernel, `_run_block`, runs all three kinds of block: reflecting
+paths, killed paths that drop out, and a branching population.  Direct
+blocks send their survivors' visit counts back, which the standard error
+of the occupation needs path by path.  A population keeps every row alive,
+so it reduces its counts to one mean occupation per bin in the worker:
+sending the (paths, bins) table back instead would hold every island's
+table in the parent at once.
 """
 
 from __future__ import annotations
@@ -174,77 +182,57 @@ def _visit_times(cfg: SimulationConfig) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(np.full(2 * cfg.n_steps(), 0.5 * cfg.dt))])
 
 
-def _run_block_direct(cfg: SimulationConfig, block: int, n: int, cp_steps: dict):
-    """One stream block of killed or reflecting paths, no resampling.
+def _run_block(cfg: SimulationConfig, block: int, n: int, cp_steps: dict):
+    """One stream block: n reflecting or killed paths, or a branching population.
 
-    Returns the final positions and visit counts of the paths alive at the
-    horizon, and the live count at each checkpoint.  Killed paths drop out
-    of the arithmetic, but each step still draws the whole block's
-    uniforms, so a path's draws do not depend on which others died."""
+    Each killed step draws 3 uniforms for every path of the block.  Without
+    branching a killed path drops out of the arithmetic, its draws still
+    taken, so a path's draws do not depend on which others died; with
+    branching it clones a survivor's position and visit counts, so final
+    records sample the conditioned paths.  Returns the final positions, the
+    occupation (the survivors' visit counts, or a population's mean
+    occupation time per bin), the log survival of a population, and the
+    live count or log survival at each checkpoint."""
     a, b = cfg.domain.bounds
     rng = _rng_for(cfg.seed, block)
     x = _sample_initial(cfg.initial, cfg.domain, rng, n)
-    kill = cfg.boundary_rule == "kill"
     counts = _new_counts(cfg, n)
     flat = counts.reshape(-1)
     live = np.arange(n)
     offsets = live * cfg.n_bins
     flat[offsets + _bin_index(x, a, b, cfg.n_bins)] = 1     # the start visit
-    cp_counts = {}
+    log_surv = 0.0
+    cp_values = {}
     for s in range(1, cfg.n_steps() + 1):
-        if kill:
+        if cfg.boundary_rule == "reflect":
+            xn = _reflect(_propose(cfg, rng.random(n), x), a, b)
+        else:
             u = rng.random(3 * n).reshape(3, n)
             if live.size < n:
                 u = u.take(live, axis=1)
             xn = _propose(cfg, u[0], x)
             ok = _survives(u[1], u[2], x, xn, a, b, cfg.dt)
-            if not ok.all():
+            if not (cfg.resample or ok.all()):
                 live, offsets, xn = live[ok], offsets[ok], xn[ok]
-        else:
-            xn = _reflect(_propose(cfg, rng.random(n), x), a, b)
+            elif cfg.resample and (killed := (~ok).nonzero()[0]).size:
+                survivors = ok.nonzero()[0]
+                if not survivors.size:
+                    raise SimulationError("entire population killed in one step; shrink dt")
+                nk = killed.size
+                donors = survivors[(rng.random(nk) * survivors.size).astype(np.int64)]
+                # np.minimum/np.maximum: np.clip without its dispatch cost
+                xn[killed] = np.minimum(np.maximum(_propose(cfg, rng.random(nk), x[donors]),
+                                                   a + 1e-12), b - 1e-12)
+                counts[killed] = counts[donors]     # holds the donor's visit of x[donors]
+                log_surv += np.log1p(-nk / n)
         flat[offsets + _bin_index(xn, a, b, cfg.n_bins)] += 2   # this end, next start
         x = xn
         if s in cp_steps:
-            cp_counts[cp_steps[s]] = live.size
+            cp_values[cp_steps[s]] = log_surv if cfg.resample else live.size
     flat[offsets + _bin_index(x, a, b, cfg.n_bins)] -= 1     # no step starts at the horizon
-    return x, counts[live], cp_counts
-
-
-def _run_block_resampled(cfg: SimulationConfig, block: int, n: int, cp_steps: dict):
-    """One branching population: killed particles clone a survivor's state
-    and visit counts, so final records sample the conditioned paths.
-    Returns the final positions, the mean occupation time per bin, the log
-    survival and its value at each checkpoint."""
-    a, b = cfg.domain.bounds
-    rng = _rng_for(cfg.seed, block)
-    x = _sample_initial(cfg.initial, cfg.domain, rng, n)
-    counts = _new_counts(cfg, n)
-    flat = counts.reshape(-1)
-    offsets = np.arange(n) * cfg.n_bins
-    flat[offsets + _bin_index(x, a, b, cfg.n_bins)] = 1     # the start visit
-    log_surv = 0.0
-    cp_logs = {}
-    for s in range(1, cfg.n_steps() + 1):
-        u = rng.random(3 * n).reshape(3, n)
-        xn = _propose(cfg, u[0], x)
-        ok = _survives(u[1], u[2], x, xn, a, b, cfg.dt)
-        killed = (~ok).nonzero()[0]
-        nk = killed.size
-        if nk == n:
-            raise SimulationError("entire population killed in one step; shrink dt")
-        if nk:
-            survivors = ok.nonzero()[0]
-            donors = survivors[(rng.random(nk) * survivors.size).astype(np.int64)]
-            xn[killed] = np.minimum(np.maximum(_propose(cfg, rng.random(nk), x[donors]),
-                                               a + 1e-12), b - 1e-12)      # np.clip without its dispatch cost
-            counts[killed] = counts[donors]     # holds the donor's visit of x[donors]
-            log_surv += np.log1p(-nk / n)
-        flat[offsets + _bin_index(xn, a, b, cfg.n_bins)] += 2   # this end, next start
-        x = xn
-        if s in cp_steps:
-            cp_logs[cp_steps[s]] = log_surv
-    flat[offsets + _bin_index(x, a, b, cfg.n_bins)] -= 1     # no step starts at the horizon
-    return x, _visit_times(cfg)[counts].mean(axis=0), log_surv, cp_logs
+    # a population's counts are (n, n_bins): reduce them here, not in the parent
+    occupation = _visit_times(cfg)[counts].mean(axis=0) if cfg.resample else counts[live]
+    return x, occupation, log_surv, cp_values
 
 
 def _workers(n_blocks: int) -> int:
@@ -260,100 +248,76 @@ def _adopt_config(config: SimulationConfig):
     _worker_config = config
 
 
-def _run_in_worker(kernel, job):
-    return kernel(_worker_config, *job)
+def _run_in_worker(job):
+    return _run_block(_worker_config, *job)
 
 
-def _run_blocks(kernel, config: SimulationConfig, jobs: list) -> list:
-    """kernel(config, *job) for every job, results in job order: on a pool
-    of forked workers that get the config through their initializer, or in
-    this process when there is one worker.  The pool is shut down before
-    this returns or raises."""
+def _run_blocks(config: SimulationConfig, jobs: list) -> list:
+    """_run_block(config, *job) for every job, results in job order: on a
+    pool of forked workers that get the config through their initializer,
+    or in this process when there is one worker.  The pool is shut down
+    before this returns or raises."""
     n_workers = _workers(len(jobs))
     if n_workers <= 1:
-        return [kernel(config, *job) for job in jobs]
+        return [_run_block(config, *job) for job in jobs]
     import multiprocessing                 # deferred: only pooled runs need them
     from concurrent.futures import ProcessPoolExecutor
     pool = ProcessPoolExecutor(n_workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_adopt_config, initargs=(config,))
     try:
-        return list(pool.map(_run_in_worker, [kernel] * len(jobs), jobs))
+        return list(pool.map(_run_in_worker, jobs))
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
 def simulate(config: SimulationConfig) -> PathEnsembleSummary:
+    """Run the config's stream blocks, islands of a branching population or
+    BLOCK-path direct blocks, and summarize them."""
     a, b = config.domain.bounds
     edges = np.linspace(a, b, config.n_bins + 1)
     widths = np.diff(edges)
     t = config.horizon
     cp_steps = {int(round(c / config.dt)): c for c in config.checkpoints}
-
     if config.resample:
-        n_isl = config.islands
-        per = config.n_paths // n_isl
+        per = config.n_paths // config.islands
         if per < 16:
             raise SimulationError("too few paths per island")
-        island_hist = np.empty((n_isl, config.n_bins))
-        finals = []
-        log_survs = []
-        cp_acc: dict = {}
-        jobs = [(isl, per, cp_steps) for isl in range(n_isl)]
-        for isl, (xf, occ_mean, ls, cps) in enumerate(
-                _run_blocks(_run_block_resampled, config, jobs)):
-            island_hist[isl] = occ_mean / t / widths
-            finals.append(xf)
-            log_survs.append(ls)
-            for k, v in cps.items():
-                cp_acc.setdefault(k, []).append(v)
-        hist = island_hist.mean(axis=0)
-        se = island_hist.std(axis=0, ddof=1) / np.sqrt(n_isl)
-        surv_frac = float(np.exp(np.mean(log_survs)))
-        cp = {k: float(np.exp(np.mean(v))) for k, v in cp_acc.items()}
+        jobs = [(isl, per, cp_steps) for isl in range(config.islands)]
+    else:
+        jobs = [(block, min(BLOCK, config.n_paths - start), cp_steps)
+                for block, start in enumerate(range(0, config.n_paths, BLOCK))]
+    finals, occupations, log_survs, cps = zip(*_run_blocks(config, jobs))
+    cp_values = {k: [cp[k] for cp in cps] for k in cps[0]}
+    final_positions = np.concatenate(finals)
+
+    if config.resample:
+        island_hist = np.array(occupations) / t / widths
+        n = config.islands * per
         return PathEnsembleSummary(
-            config=config, bin_edges=edges, histogram=hist, stderr=se,
-            survival_count=n_isl * per, survival_fraction=surv_frac,
-            effective_sample_size=float(n_isl * per),
-            final_positions=np.concatenate(finals),
-            checkpoint_survival=cp, island_histograms=island_hist)
+            config=config, bin_edges=edges, histogram=island_hist.mean(axis=0),
+            stderr=island_hist.std(axis=0, ddof=1) / np.sqrt(config.islands),
+            survival_count=n, survival_fraction=float(np.exp(np.mean(log_survs))),
+            effective_sample_size=float(n), final_positions=final_positions,
+            checkpoint_survival={k: float(np.exp(np.mean(v))) for k, v in cp_values.items()},
+            island_histograms=island_hist)
 
     # direct mode (kill without branching, or reflect)
-    total_occ = np.zeros(config.n_bins)
-    total_sq = np.zeros(config.n_bins)
-    survivors = 0
-    finals = []
-    surv_occ = []
-    cp_counts: dict = {}
-    jobs = [(block, min(BLOCK, config.n_paths - start), cp_steps)
-            for block, start in enumerate(range(0, config.n_paths, BLOCK))]
-    visit_times = _visit_times(config)
-    for xf, counts, cps in _run_blocks(_run_block_direct, config, jobs):
-        occ_alive = visit_times[counts] / t
-        survivors += xf.size
-        finals.append(xf)
-        if occ_alive.size:
-            total_occ += occ_alive.sum(axis=0)
-            total_sq += (occ_alive**2).sum(axis=0)
-            surv_occ.append(occ_alive)
-        for k, v in cps.items():
-            cp_counts[k] = cp_counts.get(k, 0) + v
-
+    survivors = final_positions.size
     if survivors == 0:
         raise SimulationError(
             "no surviving paths at the horizon; infeasible without resampling "
             f"(expected survival ~ e^(-lambda_0 t), t={t})")
-    mean_occ = total_occ / survivors
-    var_occ = np.maximum(total_sq / survivors - mean_occ**2, 0.0)
-    hist = mean_occ / widths
-    se = np.sqrt(var_occ / survivors) / widths
+    visit_times = _visit_times(config)
+    occ = [visit_times[counts] / t for counts in occupations]
+    mean_occ = sum(o.sum(axis=0) for o in occ) / survivors
+    var_occ = np.maximum(sum((o**2).sum(axis=0) for o in occ) / survivors - mean_occ**2, 0.0)
     return PathEnsembleSummary(
-        config=config, bin_edges=edges, histogram=hist, stderr=se,
-        survival_count=survivors,
+        config=config, bin_edges=edges, histogram=mean_occ / widths,
+        stderr=np.sqrt(var_occ / survivors) / widths, survival_count=survivors,
         survival_fraction=survivors / config.n_paths,
-        effective_sample_size=float(survivors),
-        final_positions=np.concatenate(finals),
-        checkpoint_survival={k: v / config.n_paths for k, v in cp_counts.items()},
-        path_occupations=np.vstack(surv_occ)[:60000])
+        effective_sample_size=float(survivors), final_positions=final_positions,
+        checkpoint_survival={k: sum(v) / config.n_paths for k, v in cp_values.items()},
+        path_occupations=np.vstack(occ)[:60000])
 
 
 def conditional_empirical_w2(summary: PathEnsembleSummary, reference: GridMeasure,

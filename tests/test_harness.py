@@ -146,6 +146,15 @@ BAD_AT_LOAD = {
     "nu-point-str": ({"nu": {"kind": "point", "x": "middle"}}, "nu.x must hold 1 finite number"),
     "n_quantiles-3999": ({"n_quantiles": 3999}, "n_quantiles must be at least 4000"),
     "n_quantiles-0": ({"n_quantiles": 0}, "n_quantiles must be at least 4000"),
+    "nu-values-negative": (_density_nu([0.0, 0.5, 1.0], [1.5, -0.01, 1.5]),
+                           "nu.values must be nonnegative"),
+    "modes-frac": ({"modes": 2.5}, "modes must be an integer, got 2.5"),
+    "modes-bool": ({"modes": True}, "modes must be an integer, got True"),
+    "grid_nodes-str": ({"grid_nodes": "4097"}, "grid_nodes must be an integer, got '4097'"),
+    "n_quantiles-frac": ({"n_quantiles": 20000.5}, "n_quantiles must be an integer"),
+    "seed-str": ({"seed": "x"}, "seed must be an integer, got 'x'"),
+    "seed-bool": ({"seed": False}, "seed must be an integer, got False"),
+    "tol-str": ({"tol": "1e-8"}, "tol must be a finite positive number, got '1e-8'"),
     "modes_limit": ({"modes_limit": 2000}, "unknown config keys: \\['modes_limit'\\]"),
     "sl_grid": ({"sl_grid": 2000}, "unknown config keys: \\['sl_grid'\\]"),
 }

@@ -46,11 +46,11 @@ def test_bitwise_reproducibility():
 def test_block_boundary_determinism():
     # crossing the fixed stream-block size must not change per-path draws:
     # the first block of a larger run reproduces the smaller run
-    from condemp.mc import BLOCK, _run_block_direct
+    from condemp.mc import BLOCK, _run_block
     cfg_small = kill_config(n_paths=BLOCK)
     cfg_large = kill_config(n_paths=BLOCK + 7)
-    xa, counts_a, _ = _run_block_direct(cfg_small, 0, BLOCK, {})
-    xb, counts_b, _ = _run_block_direct(cfg_large, 0, BLOCK, {})
+    xa, counts_a, _, _ = _run_block(cfg_small, 0, BLOCK, {})
+    xb, counts_b, _, _ = _run_block(cfg_large, 0, BLOCK, {})
     assert np.array_equal(xa, xb)
     assert np.array_equal(counts_a, counts_b)
 
@@ -395,10 +395,10 @@ def _assert_same_summary(got, want):
             assert type(g) is type(w) and g == w, f.name
 
 
-def _drifted_interval():
+def _drifted_interval(**kw):
     from condemp.domains import Potential
     xs = np.linspace(0.0, 1.0, 33)
-    return unit_interval(potential=Potential(xs, 1.5 * np.sin(np.pi * xs)))
+    return unit_interval(potential=Potential(xs, 1.5 * np.sin(np.pi * xs)), **kw)
 
 
 ENGINE_CASES = {
@@ -417,6 +417,13 @@ ENGINE_CASES = {
     "point-start": lambda: kill_config(
         n_paths=5000, horizon=0.2, initial=InitialDistribution.from_point(0.3),
         checkpoints=(0.1,)),
+    "reflecting-drift": lambda: SimulationConfig(
+        domain=_drifted_interval(boundary=NEUMANN), dt=2e-3, horizon=0.4, n_paths=3000,
+        seed=6, initial=InitialDistribution.from_point(0.2), boundary_rule="reflect",
+        n_bins=64),
+    "killed-direct-drift": lambda: kill_config(
+        domain=_drifted_interval(), n_paths=4000, horizon=0.3, seed=9,
+        checkpoints=(0.1, 0.3)),
 }
 
 
