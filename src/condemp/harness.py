@@ -70,6 +70,10 @@ class ExperimentConfig:
             if not _integer(v):
                 raise ConfigError(f"{key} must be an integer, got {v!r}")
             setattr(self, key, int(v))
+        # the MC streams key Philox with [seed, block] and seed + 1: numpy
+        # reads a key list holding an int of 2^63 or more as float64
+        if not 0 <= self.seed < 2**63:
+            raise ConfigError(f"seed must be in [0, 2^63), got {self.seed}")
         if not (_real(self.tol) and np.isfinite(self.tol) and self.tol > 0):
             raise ConfigError(f"tol must be a finite positive number, got {self.tol!r}")
         self.tol = float(self.tol)
@@ -152,6 +156,13 @@ def _check_nu(spec, domain: Domain):
         if not (_finite_numbers(x) and len(x) == domain.dim):
             raise ConfigError(f"nu.x must hold {domain.dim} finite number(s), one per "
                               f"axis of the {domain.kind}, got {spec['x']!r}")
+        # a killed start on the boundary is dead at once; a reflecting one may sit on a face
+        if domain.boundary == DIRICHLET and not domain.contains_interior(x):
+            raise ConfigError(f"nu.x must lie strictly inside the killed domain, "
+                              f"axes {domain.axes}, got {spec['x']!r}")
+        if not all(lo <= v <= hi for v, (lo, hi) in zip(x, domain.axes)):
+            raise ConfigError(f"nu.x must lie in the reflecting domain, axes "
+                              f"{domain.axes}, got {spec['x']!r}")
     if kind != "density_mu":
         return
     if domain.kind != "interval":
@@ -181,6 +192,8 @@ def _check_mc(mc: dict):
         v = mc.get(key)
         if key in mc and not (_integer(v) and v >= least):
             raise ConfigError(f"mc.{key} must be an integer of at least {least}, got {v!r}")
+    if "resample" in mc and not isinstance(mc["resample"], bool):
+        raise ConfigError(f"mc.resample must be true or false, got {mc['resample']!r}")
     ts = mc.get("slope_times")
     if "slope_times" in mc and not (
             isinstance(ts, (list, tuple)) and ts and all(_real(t) for t in ts)
@@ -452,49 +465,58 @@ def run_sandwich(config: ExperimentConfig, t: float) -> dict:
 # MC cross-check
 # ---------------------------------------------------------------------------
 
+def _check_mc_window(dt: float, horizon: float, slope_times: tuple):
+    """Reject, before the basis is built, a step `simulate` refuses, or slope
+    times off their own step of the run (checkpoints are keyed by step)."""
+    if dt > horizon / 100.0:
+        raise ConfigError(f"mc.dt must not exceed the MC horizon/100, got {dt!r} "
+                          f"at horizon {horizon!r}")
+    steps = [int(round(t / dt)) for t in slope_times]
+    if slope_times and (slope_times[-1] > horizon or 0 in steps or len(set(steps)) < len(steps)):
+        raise ConfigError(f"mc.slope_times must lie on distinct steps of dt {dt!r}, after "
+                          f"step 0 and by the MC horizon {horizon!r}; got "
+                          f"{list(slope_times)} on steps {steps}")
+
+
 def run_mc_crosscheck(config: ExperimentConfig) -> dict:
-    """Spectral-vs-MC comparison: survival decay, occupation, two limits."""
+    """Spectral-vs-MC comparison: survival decay, occupation, two limits.
+    The killed case fits the decay to its one ensemble's checkpoints."""
+    mc_cfg = config.mc
+    dt, horizon = float(mc_cfg.get("dt", 1e-3)), float(mc_cfg.get("horizon", config.times[0]))
+    killed = config.domain.boundary == DIRICHLET
+    slope_times = tuple(mc_cfg.get("slope_times", (0.2, 0.4, 0.6, 0.8))) if killed else ()
+    _check_mc_window(dt, horizon, slope_times)
     basis = interval_basis(config, "mc")
     nu = resolve_nu(config.nu_spec, basis)
-    mc_cfg = config.mc
+    nu_c = project(nu, basis)
     base = SimulationConfig(
-        domain=config.domain, dt=float(mc_cfg.get("dt", 1e-3)),
-        horizon=float(mc_cfg.get("horizon", config.times[0])),
+        domain=config.domain, dt=dt, horizon=horizon,
         n_paths=int(mc_cfg.get("n_paths", 100_000)), seed=config.seed, initial=nu,
         **{key: int(mc_cfg[key]) for key in ("n_bins", "islands") if key in mc_cfg})
-    n_paths, horizon = base.n_paths, base.horizon
-    out: dict = {"seed": config.seed, "dt": base.dt, "n_paths": n_paths,
-                 "horizon": horizon}
+    n_paths = base.n_paths
+    out: dict = {"seed": config.seed, "dt": dt, "n_paths": n_paths, "horizon": horizon}
 
-    if basis.domain.boundary == NEUMANN:
+    if not killed:
         sim = simulate(replace(base, boundary_rule="reflect"))
-        nu_c = project(nu, basis)
         ref = mean_occupation_measure(nu_c, basis, horizon, config.grid_nodes)
-        occ = sim.occupation_measure()
-        out["w1_occupation"] = w1_grid_1d(occ, ref)
+        out["w1_occupation"] = w1_grid_1d(sim.occupation_measure(), ref)
         out["histogram_max_se"] = float(np.max(sim.stderr))
         if config.out:
             _dump(out, config.out, "mc_crosscheck.json")
         return out
 
-    # killed case: survival slope on a feasible window
-    slope_times = tuple(mc_cfg.get("slope_times", (0.2, 0.4, 0.6, 0.8)))
-    slope_sim = simulate(replace(base, horizon=max(slope_times), checkpoints=slope_times))
-    counts = np.array([slope_sim.checkpoint_survival[t] * n_paths
-                       for t in slope_times])
+    # one ensemble to the horizon; branch if direct killing is hopeless
+    expected = survival_probability(nu_c, mu_coefficients(basis), basis.eigenvalues, horizon)
+    resample = mc_cfg.get("resample", bool(expected * n_paths < 1000))
+    occ_sim = simulate(replace(base, seed=config.seed + 1, resample=resample,
+                               checkpoints=slope_times))
+    counts = np.array([occ_sim.checkpoint_survival[t] * n_paths for t in slope_times])
     ts = np.array(slope_times)
     good = counts > 0
     wls = np.polyfit(ts[good], np.log(counts[good]), 1, w=np.sqrt(counts[good]))
     out["survival_slope"] = float(wls[0])
     out["lambda0"] = float(basis.eigenvalues[0])
     out["slope_rel_err"] = abs(wls[0] + basis.eigenvalues[0]) / basis.eigenvalues[0]
-
-    # occupation at the requested horizon; branch if direct killing is hopeless
-    mu_c = mu_coefficients(basis)
-    nu_c = project(nu, basis)
-    expected = survival_probability(nu_c, mu_c, basis.eigenvalues, horizon)
-    resample = bool(mc_cfg.get("resample", expected * n_paths < 1000))
-    occ_sim = simulate(replace(base, seed=config.seed + 1, resample=resample))
     out["resample"] = resample
     out["expected_survival"] = float(expected)
 

@@ -6,11 +6,20 @@ import json
 import numpy as np
 import pytest
 
+from condemp import harness
 from condemp.cli import main as cli_main
 from condemp.harness import ExperimentConfig, run_convergence, run_mc_crosscheck
+from condemp.mc import simulate
 
 
-def test_mc_crosscheck_runner(tmp_path):
+def test_mc_crosscheck_runner(tmp_path, monkeypatch):
+    summaries = []
+
+    def counted(sim_config):
+        summaries.append(simulate(sim_config))
+        return summaries[-1]
+
+    monkeypatch.setattr(harness, "simulate", counted)
     cfg = ExperimentConfig.from_dict({
         "version": "1",
         "domain": {"kind": "interval", "bounds": [0.0, 1.0],
@@ -25,6 +34,11 @@ def test_mc_crosscheck_runner(tmp_path):
         "out": str(tmp_path / "mc"),
     })
     out = run_mc_crosscheck(cfg)
+    # one ensemble: the slope is the weighted fit to its own checkpoints
+    assert len(summaries) == 1
+    ts = [0.1, 0.2, 0.3]
+    counts = np.array([summaries[0].checkpoint_survival[t] * 20_000 for t in ts])
+    assert out["survival_slope"] == np.polyfit(ts, np.log(counts), 1, w=np.sqrt(counts))[0]
     assert out["slope_rel_err"] <= 0.10
     assert out["resample"] is True          # survival at t=1 is ~5e-5
     assert out["w2_occupation"] <= 10 * out["w2_bootstrap_se"]

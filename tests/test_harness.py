@@ -87,7 +87,8 @@ def test_unknown_w2_method_rejected(tmp_path):
 @pytest.mark.parametrize("source, key, value", [
     ("file", "modes", 0), ("file", "grid_nodes", 1), ("file", "tol", 0.0),
     ("file", "tol", -1.0), ("cli", "modes", 0), ("cli", "tol", 0.0),
-    ("cli", "tol", -1.0), ("cli", "tol", float("nan")),
+    ("cli", "tol", -1.0), ("cli", "tol", float("nan")), ("cli", "seed", -1),
+    ("cli", "seed", 2**63),
 ])
 def test_bad_numbers_rejected_naming_the_key(tmp_path, capsys, source, key, value):
     out = str(tmp_path / "res")
@@ -144,6 +145,18 @@ BAD_AT_LOAD = {
     "nu-point-one-on-rectangle": ({"domain": RECTANGLE, "nu": {"kind": "point", "x": 0.3}},
                                   "nu.x must hold 2 finite number"),
     "nu-point-str": ({"nu": {"kind": "point", "x": "middle"}}, "nu.x must hold 1 finite number"),
+    "nu-point-on-killed-face": ({"nu": {"kind": "point", "x": 0.0}},
+                                "nu.x must lie strictly inside the killed domain"),
+    "nu-point-outside-killed": ({"nu": {"kind": "point", "x": 1.5}},
+                                "nu.x must lie strictly inside the killed domain"),
+    "nu-point-on-rectangle-face": ({"domain": RECTANGLE, "nu": {"kind": "point", "x": [0.0, 0.2]}},
+                                   "nu.x must lie strictly inside the killed domain"),
+    # cos k pi x is even about 1: x = 1.5 would run as x = 0.5
+    "nu-point-outside-reflecting": ({"domain": NEUMANN_INTERVAL,
+                                     "nu": {"kind": "point", "x": 1.5}},
+                                    "nu.x must lie in the reflecting domain"),
+    "mc.resample-str": ({"mc": {"resample": "no"}}, "mc.resample must be true or false"),
+    "mc.resample-int": ({"mc": {"resample": 1}}, "mc.resample must be true or false"),
     "n_quantiles-3999": ({"n_quantiles": 3999}, "n_quantiles must be at least 4000"),
     "n_quantiles-0": ({"n_quantiles": 0}, "n_quantiles must be at least 4000"),
     "nu-values-negative": (_density_nu([0.0, 0.5, 1.0], [1.5, -0.01, 1.5]),
@@ -154,6 +167,8 @@ BAD_AT_LOAD = {
     "n_quantiles-frac": ({"n_quantiles": 20000.5}, "n_quantiles must be an integer"),
     "seed-str": ({"seed": "x"}, "seed must be an integer, got 'x'"),
     "seed-bool": ({"seed": False}, "seed must be an integer, got False"),
+    "seed-negative": ({"seed": -1}, "seed must be in \\[0, 2\\^63\\), got -1"),
+    "seed-2^63": ({"seed": 2**63}, "seed must be in \\[0, 2\\^63\\)"),
     "tol-str": ({"tol": "1e-8"}, "tol must be a finite positive number, got '1e-8'"),
     "modes_limit": ({"modes_limit": 2000}, "unknown config keys: \\['modes_limit'\\]"),
     "sl_grid": ({"sl_grid": 2000}, "unknown config keys: \\['sl_grid'\\]"),
@@ -200,6 +215,29 @@ def test_rectangle_rejected_where_measures_are_1d(tmp_path, capsys, monkeypatch)
         assert run_cli(command, "--config", str(cfg_path), "--out", out) == 2
         assert f"error: {command} needs boundary 'dirichlet', got 'neumann'" in \
             capsys.readouterr().err
+
+
+MC_WINDOWS = {     # dt 1e-3 and horizon 1 unless overridden
+    "two-on-one-step": ({"slope_times": [0.1, 0.1004]}, "mc.slope_times must lie on distinct"),
+    "on-step-0": ({"slope_times": [0.0004, 0.1]}, "mc.slope_times must lie on distinct"),
+    "past-horizon": ({"slope_times": [0.5, 1.5]}, "mc.slope_times must lie on distinct"),
+    "dt-coarse": ({"dt": 0.02}, "mc.dt must not exceed the MC horizon/100"),
+}
+
+
+@pytest.mark.parametrize("mc, message", MC_WINDOWS.values(), ids=MC_WINDOWS)
+def test_mc_window_rejected_before_the_basis(tmp_path, capsys, monkeypatch, mc, message):
+    # the window is checked where mc runs: a config that never runs mc still loads
+    path = write_config(tmp_path, mc={"dt": 1e-3, "horizon": 1.0, **mc})
+    cfg = ExperimentConfig.load(path)
+    out = str(tmp_path / "res")
+    with monkeypatch.context() as m:
+        m.setattr(ExperimentConfig, "build_basis", _no_basis)
+        with pytest.raises(ConfigError, match=message):
+            run_mc_crosscheck(cfg)
+        assert run_cli("mc", "--config", str(path), "--out", out) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+    assert run_cli("limit", "--config", str(path), "--out", out) == 0
 
 
 def _start(kind, domain):

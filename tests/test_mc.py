@@ -87,6 +87,19 @@ def test_survival_slope_small():
     assert abs(slope + PI2) <= 0.08 * PI2
 
 
+def test_branching_checkpoint_survival_matches_exact_law():
+    # P(tau > t) from a uniform start is sum over odd k of 8/(k pi)^2 e^{-k^2 pi^2 t};
+    # a population estimates it by the product of its per-step survival fractions
+    times, n = (0.1, 0.2, 0.3, 0.4), 8000
+    sim = simulate(kill_config(horizon=0.4, n_paths=n, islands=8, resample=True,
+                               checkpoints=times))
+    k = np.arange(1, 401, 2, dtype=float)
+    for t in times:
+        exact = np.sum(8.0 / (k * np.pi) ** 2 * np.exp(-(k * np.pi) ** 2 * t))
+        se_log = np.sqrt((1.0 - exact) / (exact * n))    # the direct estimator's
+        assert abs(np.log(sim.checkpoint_survival[t] / exact)) <= 4.0 * se_log
+
+
 def test_reflect_uniform_occupation():
     cfg = SimulationConfig(domain=unit_interval(boundary=NEUMANN), dt=2e-3,
                            horizon=5.0, n_paths=20_000, seed=99,
