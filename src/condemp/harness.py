@@ -466,11 +466,16 @@ def run_sandwich(config: ExperimentConfig, t: float) -> dict:
 # ---------------------------------------------------------------------------
 
 def _check_mc_window(dt: float, horizon: float, slope_times: tuple):
-    """Reject, before the basis is built, a step `simulate` refuses, or slope
-    times off their own step of the run (checkpoints are keyed by step)."""
+    """Reject, before the basis is built, a step `simulate` refuses, one slope
+    time (a killed run fits a line through them; an unkilled run has none),
+    or slope times off their own step of the run (checkpoints are keyed by
+    step)."""
     if dt > horizon / 100.0:
         raise ConfigError(f"mc.dt must not exceed the MC horizon/100, got {dt!r} "
                           f"at horizon {horizon!r}")
+    if len(slope_times) == 1:
+        raise ConfigError("mc.slope_times needs at least two times to fit the survival "
+                          f"slope on a killed domain, got {list(slope_times)}")
     steps = [int(round(t / dt)) for t in slope_times]
     if slope_times and (slope_times[-1] > horizon or 0 in steps or len(set(steps)) < len(steps)):
         raise ConfigError(f"mc.slope_times must lie on distinct steps of dt {dt!r}, after "

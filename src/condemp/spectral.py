@@ -308,7 +308,8 @@ class SpectralBasis:
         return float(np.dot(np.asarray(values) * self.ground_state**2, self.weights))
 
     def orthonormality_residual(self) -> float:
-        G = (self.eigenfunctions * self.weights) @ self.eigenfunctions.T
+        B = self.eigenfunctions * np.sqrt(self.weights)
+        G = B @ B.T      # one symmetric product: numpy takes the syrk path
         return float(np.max(np.abs(G - np.eye(self.M))))
 
     def weyl_slope(self) -> float:
@@ -320,15 +321,19 @@ class SpectralBasis:
         return float(fit[0])
 
     def validate(self):
+        if not np.all(np.isfinite(self.eigenvalues)):
+            raise BasisError("eigenvalues must be finite")
         if np.any(np.diff(self.eigenvalues) < -1e-9 * max(1.0, self.eigenvalues[-1])):
             raise BasisError("eigenvalues not ascending")
         if self.domain.boundary == DIRICHLET and np.any(self.ground_state <= 0):
             raise BasisError("Dirichlet ground state not positive on the grid")
+        if np.any(self.weights < 0):
+            raise BasisError("quadrature weights must be nonnegative")
         res = self.orthonormality_residual()
-        if res > ORTHO_TOL:
+        if not res <= ORTHO_TOL:      # NaN fails too
             raise BasisError(f"orthonormality residual {res:.3e} above {ORTHO_TOL}")
         total = float(np.sum(self.weights))
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise BasisError(f"quadrature mass {total} differs from 1")
         return self
 

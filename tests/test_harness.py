@@ -222,6 +222,7 @@ MC_WINDOWS = {     # dt 1e-3 and horizon 1 unless overridden
     "on-step-0": ({"slope_times": [0.0004, 0.1]}, "mc.slope_times must lie on distinct"),
     "past-horizon": ({"slope_times": [0.5, 1.5]}, "mc.slope_times must lie on distinct"),
     "dt-coarse": ({"dt": 0.02}, "mc.dt must not exceed the MC horizon/100"),
+    "one-time": ({"slope_times": [0.2]}, "mc.slope_times needs at least two times"),
 }
 
 

@@ -385,3 +385,21 @@ def test_basis_rejects_unknown_schema(tmp_path, dirichlet_basis_64):
     doc["schema"] = "condemp.basis/999"
     with pytest.raises(BasisError):
         SpectralBasis.from_dict(doc)
+
+
+def _spoil(doc, key, value):
+    # the middle value of one array of a basis document
+    arr = np.asarray(doc[key], dtype=float)
+    arr.flat[arr.size // 2] = value
+    return dict(doc, **{key: arr.tolist()})
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("eigenfunctions", np.nan, "orthonormality residual nan"),
+    ("weights", np.nan, "orthonormality residual nan"),
+    ("eigenvalues", np.inf, "eigenvalues must be finite"),
+    ("weights", -1e-3, "weights must be nonnegative"),
+], ids=["nan-eigenfunction", "nan-weight", "inf-eigenvalue", "negative-weight"])
+def test_basis_rejects_non_finite_or_negative_entries(dirichlet_basis_64, key, value, match):
+    with pytest.raises(BasisError, match=match):
+        SpectralBasis.from_dict(_spoil(dirichlet_basis_64.to_dict(), key, value))

@@ -246,15 +246,34 @@ def test_entropic_zero_weights_error_covers_exact():
     assert abs(ent.w2_squared - exact.w2_squared) <= ent.error_estimate
 
 
-@pytest.mark.parametrize("center", [0.8, 0.3])
-def test_entropic_reports_nonconvergence(center):
-    # wide bumps on 200 nodes at eps 1e-4: the last epsilon level needs more
-    # sweeps than it is allowed, and the route must say so
+def _wide_bumps(center):
+    # wide bumps on 200 nodes: slow Sinkhorn contraction at small eps
     x = np.linspace(0.0, 1.0, 200)
     b1 = np.exp(-0.5 * ((x - 0.2) / 0.2) ** 2)
     b2 = np.exp(-0.5 * ((x - center) / 0.2) ** 2)
+    return (x, b1), (x, b2)
+
+
+@pytest.mark.parametrize("center", [0.8, 0.3])
+def test_entropic_reports_nonconvergence(center):
+    # at eps 1e-5 the last epsilon level needs more sweeps than it is
+    # allowed, and the route must say so
     with pytest.raises(TransportError, match="did not converge"):
-        w2_entropic((x, b1), (x, b2), eps_target=1e-4)
+        w2_entropic(*_wide_bumps(center), eps_target=1e-5)
+
+
+@pytest.mark.parametrize("center", [0.8, 0.3])
+def test_entropic_converges_where_plain_sweeps_ran_out(monkeypatch, center):
+    # at eps 1e-4 plain Sinkhorn needs ~3000 and ~4300 final sweeps, beyond
+    # FINAL_SWEEPS; the over-relaxed sweep converges within it and agrees
+    # with the uncapped plain solve within the declared error
+    got = w2_entropic(*_wide_bumps(center), eps_target=1e-4)
+    monkeypatch.setattr(transport, "OMEGA_CAP", 1.0)
+    with pytest.raises(TransportError, match="did not converge"):
+        w2_entropic(*_wide_bumps(center), eps_target=1e-4)
+    monkeypatch.setattr(transport, "FINAL_SWEEPS", 10 * transport.FINAL_SWEEPS)
+    plain = w2_entropic(*_wide_bumps(center), eps_target=1e-4)
+    assert abs(got.w2_squared - plain.w2_squared) <= got.error_estimate
 
 
 def test_entropic_tensorization_rectangle():
@@ -291,6 +310,31 @@ def _sinkhorn_reference(loga, logb, C, eps, f, g, max_iter, drift_tol, symmetric
             g_new = -eps * logsumexp((f_new[:, None] - C) / eps + loga[:, None], axis=0)
             drift = np.max(np.abs(f_new - f))
             f, g = f_new, g_new
+        if drift < drift_tol:
+            break
+    return f, g, it, drift
+
+
+def _overrelaxed_reference(loga, logb, C, eps, f, g, max_iter, drift_tol, symmetric):
+    """The over-relaxed log-domain sweep written term by term through scipy's
+    logsumexp, with the route's rule for w; self-transport stays plain."""
+    if symmetric:
+        return _sinkhorn_reference(loga, logb, C, eps, f, g, max_iter, drift_tol, symmetric)
+    if f is None:
+        f, g = np.zeros(loga.size), np.zeros(logb.size)
+    warmup = transport.WARMUP_SWEEPS
+    w, drift, first = 1.0, np.inf, np.inf
+    for it in range(1, max_iter + 1):
+        f_plain = -eps * logsumexp((g[None, :] - C) / eps + logb[None, :], axis=1)
+        drift, last = np.max(np.abs(f_plain - f)), drift
+        first = drift if it == 1 else first
+        if drift < drift_tol or drift > first:
+            w = 1.0
+        elif it == warmup + 1 and drift < last:
+            w = min(transport.OMEGA_CAP, 2.0 / (1.0 + np.sqrt(1.0 - drift / last)))
+        f = f + w * (f_plain - f)
+        g_plain = -eps * logsumexp((f[:, None] - C) / eps + loga[:, None], axis=0)
+        g = g + w * (g_plain - g)
         if drift < drift_tol:
             break
     return f, g, it, drift
@@ -341,7 +385,7 @@ def test_sinkhorn_sweep_matches_reference(monkeypatch, case, eps_target):
     # exhaust FINAL_SWEEPS and raise
     scaled = transport._sinkhorn_potentials
     got, got_raised = _sweep_levels(monkeypatch, scaled, case, eps_target)
-    ref, ref_raised = _sweep_levels(monkeypatch, _sinkhorn_reference, case, eps_target)
+    ref, ref_raised = _sweep_levels(monkeypatch, _overrelaxed_reference, case, eps_target)
     assert got_raised == ref_raised
     assert len(got) == len(ref)
     for (f, g, n, _), (f_ref, g_ref, n_ref, _) in zip(got, ref):
@@ -365,7 +409,7 @@ def test_sinkhorn_log_domain_fallback(monkeypatch, symmetric):
     loga = np.log(np.full(x.size, 1.0 / x.size))
     logb = np.log(np.full(y.size, 1.0 / y.size))
     args = (loga, logb, C, 1e-4, None, None, 400, 1e-9, symmetric)
-    ref = _sinkhorn_reference(*args)
+    ref = _overrelaxed_reference(*args)
     calls = []
     softmin = transport._softmin
     monkeypatch.setattr(transport, "_softmin",
@@ -378,18 +422,38 @@ def test_sinkhorn_log_domain_fallback(monkeypatch, symmetric):
         assert np.max(np.abs(p - p_ref)) <= 1e-12 * np.max(np.abs(p_ref))
 
 
-def test_entropic_matches_reference_sweep_end_to_end(monkeypatch):
+def _delta0_t4():
     # the reflecting delta_0 start at t = 4, as the neumann_delta0 config builds it
     basis = build_analytic_basis(unit_interval(boundary=NEUMANN), 512)
     nu_c = project(InitialDistribution.from_point(0.0), basis)
-    mt = harness.mean_occupation_measure(nu_c, basis, 4.0, 8193)
-    ref_measure = harness.mu0_measure(basis, 8193)
-    got = w2_entropic(mt, ref_measure)
-    monkeypatch.setattr(transport, "_sinkhorn_potentials", _sinkhorn_reference)
-    ref = w2_entropic(mt, ref_measure)
+    return (harness.mean_occupation_measure(nu_c, basis, 4.0, 8193),
+            harness.mu0_measure(basis, 8193))
+
+
+def test_entropic_matches_reference_sweep_end_to_end(monkeypatch):
+    measures = _delta0_t4()
+    got = w2_entropic(*measures)
+    monkeypatch.setattr(transport, "_sinkhorn_potentials", _overrelaxed_reference)
+    ref = w2_entropic(*measures)
     assert got.details["iterations"] == ref.details["iterations"]
     assert got.w2_squared == pytest.approx(ref.w2_squared, rel=1e-12, abs=0)
     assert got.error_estimate == pytest.approx(ref.error_estimate, rel=1e-12, abs=0)
+
+
+def test_overrelaxed_sweep_lands_nearer_the_fixed_point(monkeypatch):
+    # against plain Sinkhorn run to a 1e-4 times tighter drift, the relaxed
+    # W2^2 is no farther off than the plain one, in at most half the sweeps
+    measures = _delta0_t4()
+    relaxed = w2_entropic(*measures)
+    monkeypatch.setattr(transport, "OMEGA_CAP", 1.0)
+    plain = w2_entropic(*measures)
+    sweep = transport._sinkhorn_potentials
+    monkeypatch.setattr(transport, "FINAL_SWEEPS", 10 * transport.FINAL_SWEEPS)
+    monkeypatch.setattr(transport, "_sinkhorn_potentials", lambda *args, drift_tol, **kw:
+                        sweep(*args, drift_tol=1e-4 * drift_tol, **kw))
+    tight = w2_entropic(*measures)
+    assert abs(relaxed.w2_squared - tight.w2_squared) <= abs(plain.w2_squared - tight.w2_squared)
+    assert 2 * relaxed.details["iterations"] <= plain.details["iterations"]
 
 
 def test_sinkhorn_sweep_memory():
