@@ -14,23 +14,25 @@ import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.interpolate import PchipInterpolator
 
 from .domains import DIRICHLET, NEUMANN, Domain
 from .limits import LimitReport, compute_I, compute_I_neumann
 from .measures import GridMeasure, InitialDistribution
 from .mc import SimulationConfig, conditional_empirical_w2, simulate
-from .semigroup import (ConditionalDensity, conditional_density,
-                        mean_empirical_density, rho_tilde, survival_probability)
+from .semigroup import (ConditionalDensity, conditional_density, mean_empirical_density,
+                        mean_occupation_coefficients, rho_tilde, survival_probability)
 from .spectral import (SpectralBasis, analytic_eigenvalues, build_analytic_basis,
-                       mu_coefficients, nu_l2_budget, project,
+                       gauss_legendre, mu_coefficients, nu_l2_budget, project,
                        solve_sturm_liouville)
 from .transport import (atomization_error, h_minus1_upper_bound,
-                        kantorovich_dual_lower, w1_grid_1d, w2_entropic,
-                        w2_exact_discrete, w2_quantile_1d)
+                        kantorovich_dual_lower, w1_grid_1d, w2_displacement_1d,
+                        w2_entropic, w2_exact_discrete)
+from .transport import w2_quantile_1d  # noqa: F401  (perfbench/spans.py times this name)
 
 __all__ = ["ConfigError", "ExperimentConfig", "ConvergenceReport",
-           "run_convergence", "killed_row", "run_w2", "run_sandwich", "run_mc_crosscheck",
-           "limit_report", "w2_by_method", "interval_basis",
+           "run_convergence", "killed_rows", "run_w2", "run_sandwich", "run_mc_crosscheck",
+           "limit_report", "w2_by_method", "spectral_w2", "interval_basis",
            "spectral_measure", "mu0_measure", "resolve_nu"]
 
 CONFIG_VERSION = "1"
@@ -38,7 +40,7 @@ CONFIG_VERSION = "1"
 _ALLOWED_KEYS = {
     "version", "domain", "nu", "times", "modes", "tol",
     "w2_method", "n_quantiles", "grid_nodes", "mc", "seed", "out",
-}
+}   # n_quantiles is accepted and ignored: no row inverts quantile levels
 _ALLOWED_MC_KEYS = {"dt", "n_paths", "islands", "resample", "n_bins", "horizon", "slope_times"}
 _NU_FIELDS = {"mu": (), "mu0": (), "point": ("x",), "density_mu": ("values", "nodes")}
 W2_METHODS = ("quantile1d", "exact-discrete", "entropic")
@@ -57,7 +59,6 @@ class ExperimentConfig:
     modes: int = 128
     tol: float = 1e-8
     w2_method: str = "quantile1d"
-    n_quantiles: int = 100_000
     grid_nodes: int = 8193
     mc: dict = field(default_factory=dict)
     seed: int = 20240915
@@ -65,7 +66,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # also runs on dataclasses.replace, which the CLI overrides go through
-        for key in ("modes", "grid_nodes", "n_quantiles", "seed"):
+        for key in ("modes", "grid_nodes", "seed"):
             v = getattr(self, key)
             if not _integer(v):
                 raise ConfigError(f"{key} must be an integer, got {v!r}")
@@ -84,10 +85,6 @@ class ExperimentConfig:
             raise ConfigError(f"modes must be at least 1, got {self.modes}")
         if self.grid_nodes < 2:
             raise ConfigError(f"grid_nodes must be at least 2, got {self.grid_nodes}")
-        # _quantile_grid floors smaller counts, and its comparison grid
-        # stops being half the main one
-        if self.n_quantiles < 4000:
-            raise ConfigError(f"n_quantiles must be at least 4000, got {self.n_quantiles}")
         _check_nu(self.nu_spec, self.domain)
         _check_mc(self.mc)
 
@@ -111,7 +108,7 @@ class ExperimentConfig:
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ConfigError("time grid must be strictly increasing")
         present = {key: doc[key] for key in
-                   ("modes", "tol", "w2_method", "n_quantiles", "grid_nodes", "seed", "out")
+                   ("modes", "tol", "w2_method", "grid_nodes", "seed", "out")
                    if key in doc}
         return cls(domain=Domain.from_dict(doc["domain"]), nu_spec=doc.get("nu", {"kind": "mu"}),
                    times=times, mc=mc, **present)
@@ -180,6 +177,16 @@ def _check_nu(spec, domain: Domain):
     a, b = domain.bounds
     if any(n2 <= n1 for n1, n2 in zip(nodes, nodes[1:])) or nodes[0] > a or nodes[-1] < b:
         raise ConfigError(f"nu.nodes must be strictly increasing and cover [{a:g}, {b:g}]")
+    # spectral._validate_density's mass test: the PCHIP table against mu's
+    # density e^V/Z, by 8-point Gauss rules on pieces split at every node
+    # (exact for V = 0)
+    edges = np.union1d(np.linspace(a, b, 65), np.clip(nodes, a, b))
+    gx, gw = gauss_legendre(8, 0.0, 1.0)
+    x = (edges[:-1, None] + np.diff(edges)[:, None] * gx).ravel()
+    w = (np.diff(edges)[:, None] * gw).ravel() * np.exp(domain.potential_values(x))
+    mass = float(np.dot(w, PchipInterpolator(nodes, values)(x)) / w.sum())
+    if not abs(mass - 1.0) <= 1e-8:
+        raise ConfigError(f"nu.values must have mass 1 against mu (within 1e-8), got {mass!r}")
 
 
 def _check_mc(mc: dict):
@@ -285,12 +292,10 @@ def _occupation_measures(nu_c, basis: SpectralBasis, times, n_nodes: int) -> lis
         f"mean_occ(t={t:g})") for t in times]
 
 
-def w2_by_method(method: str, m1: GridMeasure, m2: GridMeasure,
-                 n_quantiles: int):
-    """W2 between two grid measures by the named route.  The exact route
+def w2_by_method(method: str, m1: GridMeasure, m2: GridMeasure):
+    """W2 between two grid measures by the named grid route, exact-discrete
+    or entropic (`quantile1d` rows take `spectral_w2`).  The exact route
     declares its atomization error on top of its certificate's own."""
-    if method == "quantile1d":
-        return w2_quantile_1d(m1, m2, n_quantiles=n_quantiles)
     if method == "exact-discrete":
         x1, a1 = m1.atomize(EXACT_ATOMS)
         x2, a2 = m2.atomize(EXACT_ATOMS)
@@ -300,7 +305,29 @@ def w2_by_method(method: str, m1: GridMeasure, m2: GridMeasure,
         return res
     if method == "entropic":
         return w2_entropic(m1, m2)
-    raise ConfigError(f"unknown w2 method {method!r}")
+    raise ConfigError(f"no grid route named {method!r}")
+
+
+def spectral_w2(basis: SpectralBasis, fluctuation: np.ndarray):
+    """W2(mu_0 + f mu, mu_0) for the fluctuation f = sum_mn B_mn phi_m phi_n
+    of a block B, or sum_m c_m phi_m of a vector c, by the monotone coupling
+    in displacement form (`SpectralBasis.transport_equation`): no grid
+    measure and no quantile levels.  Closed-form modes carry cosine phases
+    up to 2 M (a block) or M (a vector); numeric modes are splines, and the
+    rule takes one phase per knot of the basis grid."""
+    phases = fluctuation.ndim * basis.M if basis.analytic else basis.grid.size
+    return w2_displacement_1d(basis.transport_equation(fluctuation), basis.domain.bounds,
+                              phases)
+
+
+def _fluctuation_block(cd: ConditionalDensity) -> np.ndarray:
+    """h_t phi_0^2 - phi_0^2 against mu as a block: the bilinear block over
+    t Z, its (0, 0) entry set so the trace, the fluctuation's mass, is 0.
+    That entry is C_00/(tZ) - 1 = -sum_{m>=1} C_mm/(tZ), here without the
+    O(1) cancellation."""
+    B = cd.bilinear / (cd.t * cd.normalization)
+    B[0, 0] = -np.trace(B[1:, 1:])
+    return B
 
 
 # ---------------------------------------------------------------------------
@@ -367,22 +394,16 @@ def limit_report(config: ExperimentConfig, basis: SpectralBasis) -> LimitReport:
 
 def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
     """t^2 W2(mu_t, limit)^2 against the eigenseries constant, per time.
-    Killed rows also carry their certified sandwich (`killed_row`)."""
+    Killed rows also carry their certified sandwich (`killed_rows`)."""
     basis = interval_basis(config, "converge")
     boundary = basis.domain.boundary
     limit = limit_report(config, basis)
     if boundary == NEUMANN:
-        occupations = _occupation_measures(project(resolve_nu(config.nu_spec, basis), basis),
-                                           basis, config.times, config.grid_nodes)
-    reference = mu0_measure(basis, config.grid_nodes)   # Neumann: phi_0 = 1, this is mu
+        krs = _reflecting_rows(config, basis, limit.tail_bound)
+    else:
+        krs = killed_rows(config, basis, config.times)
     rows = []
-    for k, t in enumerate(config.times):
-        if boundary == NEUMANN:
-            res = w2_by_method(config.w2_method, occupations[k], reference, config.n_quantiles)
-            kr = {"w2": res.w2, "w2sq": res.w2_squared, "w2_error": res.error_estimate,
-                  "tail_bound": limit.tail_bound}
-        else:
-            kr = killed_row(config, basis, t, reference)
+    for t, kr in zip(config.times, krs):
         t2w2 = t * t * kr["w2sq"]
         rows.append({
             "t": t, "w2": kr["w2"], "t2w2sq": t2w2, "I": limit.I_value,
@@ -411,49 +432,75 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
     return report
 
 
+def _reflecting_rows(config: ExperimentConfig, basis: SpectralBasis, tail_bound: float) -> list:
+    """W2(mean occupation, mu) at each t by the config's route.  The quantile
+    route solves the coupling from the occupation coefficients
+    (`spectral_w2`); the others transport grid measures."""
+    nu_c = project(resolve_nu(config.nu_spec, basis), basis)
+    if config.w2_method == "quantile1d":
+        results = [spectral_w2(basis, mean_occupation_coefficients(nu_c, basis, t))
+                   for t in config.times]
+    else:
+        reference = mu0_measure(basis, config.grid_nodes)   # phi_0 = 1: this is mu
+        results = [w2_by_method(config.w2_method, m, reference) for m in
+                   _occupation_measures(nu_c, basis, config.times, config.grid_nodes)]
+    return [{"w2": r.w2, "w2sq": r.w2_squared, "w2_error": r.error_estimate,
+             "tail_bound": tail_bound} for r in results]
+
+
 # ---------------------------------------------------------------------------
-# the killed row: W2 at one t with its certified sandwich
+# killed rows: W2 at each t with its certified sandwich
 # ---------------------------------------------------------------------------
 
-def killed_row(config: ExperimentConfig, basis: SpectralBasis, t: float,
-               reference: GridMeasure) -> dict:
-    """W2(h_t mu_0, mu_0) by the config's route, with a certified lower bound
-    (Kantorovich dual, potential from the leading 1/t fluctuation) and the
-    weighted-H^-1 upper bound; `reference` is `mu0_measure` of the basis.
-    `ordered` states lower <= W2^2 <= upper within the declared errors."""
+def killed_rows(config: ExperimentConfig, basis: SpectralBasis, times) -> list:
+    """W2(h_t mu_0, mu_0) at each t by the config's route, with a certified
+    lower bound (Kantorovich dual, potential from the leading 1/t
+    fluctuation) and the weighted-H^-1 upper bound.  The quantile route
+    solves the coupling from the fluctuation block (`spectral_w2`); the
+    other routes, and the lower bound, transport grid measures of
+    `grid_nodes` nodes.  mu_0's grid measure and the potential's ratio
+    table are built once for every t.  `ordered` states
+    lower <= W2^2 <= upper within the declared errors."""
+    reference = mu0_measure(basis, config.grid_nodes)
     nu = resolve_nu(config.nu_spec, basis)
-    cd = conditional_density(nu, basis, t)
-    mt = spectral_measure(cd, basis, config.grid_nodes)
-    res = w2_by_method(config.w2_method, mt, reference, config.n_quantiles)
-    upper = h_minus1_upper_bound(cd.grid_values, basis)
-
-    rt = rho_tilde(project(nu, basis), mu_coefficients(basis), basis, t)
-    f_coeffs = np.zeros(basis.M)
-    f_coeffs[1:] = rt.coeffs[1:] / basis.gaps[1:]
+    nu_c, mu_c = project(nu, basis), mu_coefficients(basis)
     xs = np.linspace(*basis.domain.bounds[:2], 4097)
-    lower = kantorovich_dual_lower(mt, reference, f_coeffs @ basis.eval_ratio(xs), f_nodes=xs)
+    ratio = basis.eval_ratio(xs)
+    rows = []
+    for t in times:
+        cd = conditional_density(nu, basis, t)
+        mt = spectral_measure(cd, basis, config.grid_nodes)
+        res = (spectral_w2(basis, _fluctuation_block(cd)) if config.w2_method == "quantile1d"
+               else w2_by_method(config.w2_method, mt, reference))
+        upper = h_minus1_upper_bound(cd.grid_values, basis)
 
-    tol = res.error_estimate + 1e-14 + abs(upper["coefficient_tail"])
-    ordered = (lower["lower_bound"] <= res.w2_squared + tol
-               and res.w2_squared <= upper["upper_bound"] + tol)
-    return {"t": t, "lower": lower["lower_bound"], "w2sq": res.w2_squared,
+        rt = rho_tilde(nu_c, mu_c, basis, t)
+        f_coeffs = np.zeros(basis.M)
+        f_coeffs[1:] = rt.coeffs[1:] / basis.gaps[1:]
+        lower = kantorovich_dual_lower(mt, reference, f_coeffs @ ratio, f_nodes=xs)
+
+        tol = res.error_estimate + 1e-14 + abs(upper["coefficient_tail"])
+        ordered = (lower["lower_bound"] <= res.w2_squared + tol
+                   and res.w2_squared <= upper["upper_bound"] + tol)
+        rows.append({
+            "t": t, "lower": lower["lower_bound"], "w2sq": res.w2_squared,
             "upper": upper["upper_bound"], "w2": res.w2, "w2_error": res.error_estimate,
             "lower_slack": lower["conjugation_slack"], "upper_strip": upper["boundary_strip"],
             "excluded_nodes": upper["excluded_nodes"], "ordered": bool(ordered),
-            "modes": basis.M, "tail_bound": cd.tail_bound, "seed": config.seed}
+            "modes": basis.M, "tail_bound": cd.tail_bound, "seed": config.seed})
+    return rows
 
 
 def run_w2(config: ExperimentConfig, t: float) -> dict:
-    """`killed_row` at one t against the config's own basis and mu_0."""
+    """The killed row at one t against the config's own basis and mu_0."""
     basis = interval_basis(config, "w2")
-    return killed_row(config, basis, t, mu0_measure(basis, config.grid_nodes))
+    return killed_rows(config, basis, [t])[0]
 
 
 def run_sandwich(config: ExperimentConfig, t: float) -> dict:
     """The quantile-route killed row at one t; raises unless it is ordered."""
     basis = interval_basis(config, "sandwich")
-    row = killed_row(replace(config, w2_method="quantile1d"), basis, t,
-                     mu0_measure(basis, config.grid_nodes))
+    row = killed_rows(replace(config, w2_method="quantile1d"), basis, [t])[0]
     if not row["ordered"]:
         raise RuntimeError(f"sandwich ordering violated beyond tolerances: {row}")
     if config.out:

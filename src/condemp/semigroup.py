@@ -30,6 +30,7 @@ __all__ = [
     "conditional_density",
     "rho_tilde",
     "fluctuation_remainder",
+    "mean_occupation_coefficients",
     "mean_empirical_density",
     "export_density_csv",
 ]
@@ -294,15 +295,11 @@ def fluctuation_remainder(nu_coeffs, mu_coeffs, basis: SpectralBasis, t: float):
 # reflecting-case mean occupation
 # ---------------------------------------------------------------------------
 
-def mean_empirical_density(nu_coeffs, basis: SpectralBasis, t: float,
-                           n_nodes: int | None = None):
-    """Time-averaged occupation density for the reflecting case, w.r.t. mu.
-
-    Valid for a Neumann basis (gap_0 = 0, constant ground mode):
-    1 + sum_{m>=1} nu(phi_m) (1 - e^{-lambda_m t})/(lambda_m t) phi_m,
-    on the basis grid, or with n_nodes on the uniform grid
-    np.linspace(a, b, n_nodes) (`SpectralBasis.grid_series`).
-    """
+def mean_occupation_coefficients(nu_coeffs, basis: SpectralBasis, t: float) -> np.ndarray:
+    """c with the reflecting-case time-averaged occupation density 1 + sum_m
+    c_m phi_m against mu: c_m = nu(phi_m) (1 - e^{-lambda_m t})/(lambda_m t)
+    for m >= 1, c_0 = 0.  Valid for a Neumann basis (gap_0 = 0, constant
+    ground mode)."""
     if basis.domain.boundary != NEUMANN:
         raise SeriesError("mean empirical density needs a Neumann basis")
     if t <= 0:
@@ -313,6 +310,17 @@ def mean_empirical_density(nu_coeffs, basis: SpectralBasis, t: float,
     lam = basis.eigenvalues
     coef = np.zeros(basis.M)
     coef[1:] = nu_c[1:] * (-np.expm1(-lam[1:] * t)) / (lam[1:] * t)
+    return coef
+
+
+def mean_empirical_density(nu_coeffs, basis: SpectralBasis, t: float,
+                           n_nodes: int | None = None):
+    """Time-averaged occupation density for the reflecting case, w.r.t. mu:
+    1 + sum_m c_m phi_m (`mean_occupation_coefficients`) on the basis grid,
+    or with n_nodes on the uniform grid np.linspace(a, b, n_nodes)
+    (`SpectralBasis.grid_series`).
+    """
+    coef = mean_occupation_coefficients(nu_coeffs, basis, t)
     if n_nodes is None:
         return 1.0 + coef @ basis.eigenfunctions
     return 1.0 + basis.grid_series(coef, n_nodes)

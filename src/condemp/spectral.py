@@ -14,6 +14,8 @@ no table: every closed-form product phi_m phi_n is a sum of two cosines of
 the unit coordinate, so the series folds exactly into cosine coefficients
 and one type-I DCT evaluates them (`cosine_series`).  Numeric
 Sturm-Liouville bases evaluate the same series through their mode table.
+The monotone coupling of two such densities (`transport_equation`) reuses
+the fold: their CDF gap is the matching sine series.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ __all__ = [
 ]
 
 ORTHO_TOL = 1e-8
+PANEL_ORDER = 16         # Gauss points per panel of the transport-equation rules
+PHASE_CHUNK = 2**17      # phase-table entries per chunk (2 MiB of complex128)
 
 
 class BasisError(ValueError):
@@ -228,19 +232,114 @@ class SpectralBasis:
             phi = self.eval_modes(np.linspace(*dom.bounds, n))
             return C @ phi if C.ndim == 1 else np.einsum("mj,mn,nj->j", phi, C, phi,
                                                          optimize=True)
+        f = cosine_series(self._cosine_coefficients(C), n)
+        if not neumann:
+            f[[0, -1]] = 0.0
+        return f
+
+    def _cosine_coefficients(self, C) -> np.ndarray:
+        """The fold of `grid_series` for closed-form interval modes: a with
+        sum_p a_p cos(p pi u) the series of a block C (or of a Neumann vector)
+        in the unit coordinate u, p = 0 .. 2 k_max."""
         k = self.mode_indices[:, 0]
         rows = k[:1] if C.ndim == 1 else k
         size = 2 * int(k[-1]) + 1
+        neumann = self.domain.boundary == NEUMANN
         if neumann:      # s_m s_n / 2, exactly: 1/2, sqrt(1/2) or 1
             nonzero = (rows[:, None] > 0).astype(int) + (k > 0)
             C = C * np.array([0.5, np.sqrt(0.5), 1.0])[nonzero]
         w, pair = C.ravel(), np.subtract.outer(rows, k)     # one index table, reused
         a = np.bincount(np.abs(pair, out=pair).ravel(), w, minlength=size)
         plus = np.bincount(np.add.outer(rows, k, out=pair).ravel(), w, minlength=size)
-        f = cosine_series(a + plus if neumann else a - plus, n)
-        if not neumann:
-            f[[0, -1]] = 0.0
-        return f
+        return a + plus if neumann else a - plus
+
+    def transport_equation(self, B):
+        """The monotone coupling of mu_0 = phi_0^2 mu with mu_1 = mu_0 + f mu
+        on an interval, in displacement form: f = sum_mn B_mn phi_m phi_n for
+        an (M, M) block B, or sum_m b_m phi_m for a vector b, of zero mass.
+
+        Returns `at(x)`: for ascending points x, the Lebesgue density
+        rho_0(x) and a function of the displacement d that returns
+        F_1(x + d) - F_0(x) and its derivative rho_1(x + d).  x + d(x) is the
+        monotone map where the first vanishes.  It is written as
+        F_0(x + d) - F_0(x) + D(x + d), with D = F_1 - F_0 a series in B, so
+        no O(1) CDF values are subtracted.
+
+        Closed-form modes fold f into cosine coefficients beta_p in the unit
+        coordinate u (`grid_series`), so D = sum_p beta_p sin(p pi u)/(p pi).
+        Both sums at u + d come from one table of the phases exp(i p pi u),
+        p = 1 .. P, built by `np.cumprod` in row chunks of PHASE_CHUNK
+        entries.  phi_0^2 is 1 - cos 2 pi u (Dirichlet) or 1 (Neumann), so
+        F_0(x + d) - F_0(x) = d - cos(pi (2 u + d)) sin(pi d)/pi or d, in
+        units of L.  Numeric bases integrate f mu from the mode table: D(x)
+        by Gauss rules between consecutive points, F_1(x + d) - F_1(x) by
+        one on [x, x + d]."""
+        if self.domain.kind != "interval":
+            raise BasisError("transport equations are solved on intervals only")
+        B = np.asarray(B, dtype=float)
+        a, b = self.domain.bounds
+        if not self.analytic:
+            return self._numeric_transport_equation(B)
+        L, dirichlet = b - a, self.domain.boundary == DIRICHLET
+        beta = self._cosine_coefficients(B)     # beta_0 is the mass: 0
+        P = int(np.flatnonzero(beta)[-1]) if np.any(beta[1:]) else 0
+        p = np.arange(1, P + 1)
+        W = np.zeros((2 * P, 2))                # rows: Re, Im of each phase
+        W[0::2, 0] = beta[1:P + 1]
+        W[1::2, 1] = beta[1:P + 1] / (p * np.pi)
+        chunk = max(1, PHASE_CHUNK // max(P, 1))        # rows per phase table
+
+        def at(x):
+            u = (np.asarray(x, dtype=float) - a) / L
+
+            def residual(d):
+                s = d / L
+                y = u + s
+                fD = np.empty((y.size, 2))              # f and D at y
+                for i in range(0, y.size, chunk):
+                    z = np.exp(1j * np.pi * y[i:i + chunk])
+                    table = np.cumprod(np.broadcast_to(z[:, None], (z.size, P)), axis=1)
+                    fD[i:i + chunk] = table.view(float) @ W
+                if dirichlet:
+                    inc = s - np.cos(np.pi * (2 * u + s)) * np.sin(np.pi * s) / np.pi
+                    return inc + fD[:, 1], (2 * np.sin(np.pi * y) ** 2 + fD[:, 0]) / L
+                return s + fD[:, 1], (1.0 + fD[:, 0]) / L
+
+            return (2 * np.sin(np.pi * u) ** 2 if dirichlet else np.ones(u.size)) / L, residual
+        return at
+
+    def _numeric_transport_equation(self, B):
+        """`transport_equation` by the mode table, with PANEL_ORDER-point
+        Gauss rules.  Spline modes are orthonormal only on the basis grid, so
+        phi_0^2 mu and phi_0^2 mu + f mu are each normalized by their
+        integrals m_0 and m_0 + m_f: D = (R_f - m_f R_0 / m_0)/(m_0 + m_f),
+        with R_f, R_0 the integrals of f mu and phi_0^2 mu from a, summed
+        over the gaps between consecutive points and on to b."""
+        a, b = self.domain.bounds
+        gx, gw = _legendre_rule(PANEL_ORDER)
+
+        def densities(y):       # f mu and phi_0^2 mu
+            phi = self.eval_modes(y)
+            f = B @ phi if B.ndim == 1 else np.sum(phi * (B @ phi), axis=0)
+            mu = self.mu_lebesgue_at(y)
+            return np.stack([f * mu, phi[0] ** 2 * mu])
+
+        def integral(lo, hi):   # of both densities over each [lo_i, hi_i]
+            half = 0.5 * (hi - lo)
+            pts = (0.5 * (hi + lo))[:, None] + half[:, None] * gx
+            return densities(pts.ravel()).reshape(2, *pts.shape) @ gw * half
+
+        def at(x):
+            x = np.asarray(x, dtype=float)
+            R = np.cumsum(integral(np.append(a, x), np.append(x, b)), axis=1)
+            (R_f, R_0), (m_f, m_0) = R[:, :-1], R[:, -1]
+            D = (R_f - m_f * R_0 / m_0) / (m_0 + m_f)
+
+            def residual(d):
+                return (D + integral(x, x + d).sum(axis=0) / (m_0 + m_f),
+                        densities(x + d).sum(axis=0) / (m_0 + m_f))
+            return densities(x)[1] / m_0, residual
+        return at
 
     def eval_ratio(self, x) -> np.ndarray:
         """phi_m / phi_0 at arbitrary points with boundary limits resolved."""

@@ -107,6 +107,9 @@ def test_bad_numbers_rejected_naming_the_key(tmp_path, capsys, source, key, valu
 
 RECTANGLE = {"kind": "rectangle", "bounds": [0.0, 1.0, 0.0, 0.5], "boundary": "dirichlet"}
 NEUMANN_INTERVAL = {"kind": "interval", "bounds": [0.0, 1.0], "boundary": "neumann"}
+DRIFT_INTERVAL = {"kind": "interval", "bounds": [0.0, 1.0], "boundary": "dirichlet",
+                  "potential": {"nodes": np.linspace(0.0, 1.0, 17).tolist(),
+                                "values": np.linspace(0.0, 2.0, 17).tolist()}}
 
 
 def _density_nu(nodes, values):
@@ -157,14 +160,17 @@ BAD_AT_LOAD = {
                                     "nu.x must lie in the reflecting domain"),
     "mc.resample-str": ({"mc": {"resample": "no"}}, "mc.resample must be true or false"),
     "mc.resample-int": ({"mc": {"resample": 1}}, "mc.resample must be true or false"),
-    "n_quantiles-3999": ({"n_quantiles": 3999}, "n_quantiles must be at least 4000"),
-    "n_quantiles-0": ({"n_quantiles": 0}, "n_quantiles must be at least 4000"),
     "nu-values-negative": (_density_nu([0.0, 0.5, 1.0], [1.5, -0.01, 1.5]),
                            "nu.values must be nonnegative"),
+    "nu-density-mass": (_density_nu([0.0, 1.0], [1.0, 2.0]),
+                        "nu.values must have mass 1 against mu \\(within 1e-8\\), got 1.5"),
+    # 1/2 + x has mass 1 against dx, not against e^{2x} dx / Z
+    "nu-density-mass-drift": ({"domain": DRIFT_INTERVAL, **_density_nu([0.0, 0.5, 1.0],
+                                                                       [0.5, 1.0, 1.5])},
+                              "nu.values must have mass 1 against mu"),
     "modes-frac": ({"modes": 2.5}, "modes must be an integer, got 2.5"),
     "modes-bool": ({"modes": True}, "modes must be an integer, got True"),
     "grid_nodes-str": ({"grid_nodes": "4097"}, "grid_nodes must be an integer, got '4097'"),
-    "n_quantiles-frac": ({"n_quantiles": 20000.5}, "n_quantiles must be an integer"),
     "seed-str": ({"seed": "x"}, "seed must be an integer, got 'x'"),
     "seed-bool": ({"seed": False}, "seed must be an integer, got False"),
     "seed-negative": ({"seed": -1}, "seed must be in \\[0, 2\\^63\\), got -1"),
@@ -184,6 +190,27 @@ def test_bad_values_rejected_at_load(tmp_path, capsys, overrides, message):
     assert run_cli("limit", "--config", str(path), "--out", out) == 2
     assert "error: " in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "limit.json"))
+
+
+def test_density_start_with_mass_1_against_mu_loads():
+    # e^{-2x} (2 / (1 - e^{-2})) integrates to 1 against e^{2x} dx / Z: its
+    # PCHIP table on 2049 nodes meets the 1e-8 of the load-time check
+    x = np.linspace(0.0, 1.0, 2049)
+    Z = (np.exp(2.0) - 1.0) / 2.0
+    values = (np.exp(-2.0 * x) * Z).tolist()
+    doc = dict(BASE_CONFIG, domain=DRIFT_INTERVAL, **_density_nu(x.tolist(), values))
+    assert ExperimentConfig.from_dict(doc).nu_spec["values"] == values
+
+
+def test_n_quantiles_is_accepted_and_ignored():
+    # no row inverts quantile levels: any value loads and changes nothing
+    doc = {k: v for k, v in BASE_CONFIG.items() if k != "n_quantiles"}
+    doc.update(times=[2.0], modes=16)
+    rows = run_convergence(ExperimentConfig.from_dict(doc)).rows
+    for value in (0, 3999, 20000.5, "many", 100_000):
+        cfg = ExperimentConfig.from_dict(dict(doc, n_quantiles=value))
+        assert not hasattr(cfg, "n_quantiles")
+        assert run_convergence(cfg).rows == rows
 
 
 def _no_basis(self):
@@ -335,6 +362,27 @@ def test_convergence_neumann(tmp_path):
     # no h_t, so no sandwich: the rows carry no bounds
     for row in report.rows:
         assert not {"lower", "upper", "ordered"} & set(row)
+
+
+@pytest.mark.parametrize("name, overrides", [("convergence_mu.json", {"modes": 32}),
+                                             ("neumann_delta0.json", {})])
+def test_spectral_rows_do_not_depend_on_the_fine_grid(name, overrides):
+    # on 3 grid nodes the grid quantile route returned W2 = 0, declaring 1e-15
+    with open(os.path.join(CONFIGS, name)) as fh:
+        doc = dict(json.load(fh), out=None, **overrides)
+    coarse, fine = (run_convergence(ExperimentConfig.from_dict(dict(doc, grid_nodes=n))).rows
+                    for n in (3, 8193))
+    for c, f in zip(coarse, fine):
+        assert abs(c["w2"] ** 2 - f["w2"] ** 2) <= c["w2_error"] + f["w2_error"]
+
+
+def test_reflecting_delta0_rows_meet_the_closed_form_within_their_error():
+    # reflecting with V = 0: t^2 W2^2 = 2/945 up to e^{-lambda_1 t} and a
+    # truncation of 2e-17 at 512 modes, no tail slack
+    with open(os.path.join(CONFIGS, "neumann_delta0.json")) as fh:
+        doc = dict(json.load(fh), out=None)
+    for row in run_convergence(ExperimentConfig.from_dict(doc)).rows:
+        assert abs(row["t2w2sq"] - 2.0 / 945.0) <= row["t"] ** 2 * row["w2_error"]
 
 
 def test_occupation_measures_are_each_times_own_series():

@@ -9,14 +9,14 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import linprog
 from scipy.special import logsumexp
 
-from condemp import (build_analytic_basis, harness, mu_coefficients, project, transport,
-                     unit_interval)
-from condemp.domains import NEUMANN
+from condemp import (build_analytic_basis, harness, mu_coefficients, project,
+                     solve_sturm_liouville, transport, unit_interval)
+from condemp.domains import NEUMANN, Potential
 from condemp.measures import GridMeasure, InitialDistribution
-from condemp.semigroup import conditional_density, rho_tilde
+from condemp.semigroup import conditional_density, mean_occupation_coefficients, rho_tilde
 from condemp.transport import (DUAL_SEARCH, TransportError, _lower_hull, h_minus1_upper_bound,
                                kantorovich_dual_lower, logarithmic_mean,
-                               w1_grid_1d, w2_entropic,
+                               w1_grid_1d, w2_displacement_1d, w2_entropic,
                                w2_exact_discrete, w2_quantile_1d)
 
 X = np.linspace(0.0, 1.0, 2049)
@@ -84,6 +84,76 @@ def test_quantile_rejects_corrupt_cdf():
     gm.cdf = lambda x: np.interp(x, gm.nodes, gm._cdf_nodes)
     with pytest.raises(TransportError):
         w2_quantile_1d(gm, uniform())
+
+
+# ---------------------------------------------------------------------------
+# displacement route (spectral rows)
+# ---------------------------------------------------------------------------
+
+def _sl_basis():
+    nodes = np.linspace(0.0, 1.0, 65)
+    return solve_sturm_liouville(unit_interval(potential=Potential(nodes, 2.0 * nodes)), 32, 2000)
+
+
+DISPLACEMENT_CASES = {    # basis, start, times: the shipped configs and two more
+    "convergence_mu": (lambda: build_analytic_basis(unit_interval(), 128),
+                       InitialDistribution.from_mu(), (2.0, 4.0, 8.0, 16.0)),
+    "neumann_delta0": (lambda: build_analytic_basis(unit_interval(boundary=NEUMANN), 512),
+                       InitialDistribution.from_point(0.0), (4.0, 8.0, 16.0)),
+    "delta0.3": (lambda: build_analytic_basis(unit_interval(), 128),
+                 InitialDistribution.from_point(0.3), (2.0, 4.0, 16.0)),
+    "sturm-liouville-2x": (_sl_basis, InitialDistribution.from_mu(), (2.0, 8.0)),
+}
+
+
+def _fluctuations(case):
+    """The basis of a case and the fluctuation its rows transport, per t."""
+    build, nu, times = DISPLACEMENT_CASES[case]
+    basis = build()
+    if basis.domain.boundary == NEUMANN:
+        nu_c = project(nu, basis)
+        return basis, [mean_occupation_coefficients(nu_c, basis, t) for t in times]
+    return basis, [harness._fluctuation_block(conditional_density(nu, basis, t))
+                   for t in times]
+
+
+@pytest.mark.parametrize("case", list(DISPLACEMENT_CASES))
+def test_displacement_error_covers_four_times_the_nodes(case):
+    basis, fluctuations = _fluctuations(case)
+    for f in fluctuations:
+        res = harness.spectral_w2(basis, f)
+        fine = w2_displacement_1d(basis.transport_equation(f), basis.domain.bounds,
+                                  2 * res.details["nodes"])
+        assert fine.details["nodes"] == 4 * res.details["nodes"]
+        assert abs(fine.w2_squared - res.w2_squared) <= res.error_estimate
+
+
+@pytest.mark.parametrize("case", ["convergence_mu", "neumann_delta0"])
+def test_displacement_route_catches_a_perturbed_fluctuation(case):
+    # D is linear in the fluctuation: 1e-8 relative on it moves W2^2 by ~2e-8
+    basis, fluctuations = _fluctuations(case)
+    for f in fluctuations:
+        res, off = harness.spectral_w2(basis, f), harness.spectral_w2(basis, f * (1 + 1e-8))
+        assert abs(off.w2_squared - res.w2_squared) > res.error_estimate + off.error_estimate
+
+
+def test_displacement_sturm_liouville_matches_grid_route():
+    basis = _sl_basis()
+    reference = harness.mu0_measure(basis, 8193)
+    for t in DISPLACEMENT_CASES["sturm-liouville-2x"][2]:
+        cd = conditional_density(InitialDistribution.from_mu(), basis, t)
+        grid = w2_quantile_1d(harness.spectral_measure(cd, basis, 8193), reference)
+        res = harness.spectral_w2(basis, harness._fluctuation_block(cd))
+        assert abs(res.w2_squared - grid.w2_squared) <= grid.error_estimate
+
+
+def test_displacement_refuses_a_signed_density():
+    # 1.5 phi_1^2 - 0.5 phi_0^2 has zero mass but is negative at the midpoint
+    basis = build_analytic_basis(unit_interval(), 8)
+    B = np.zeros((8, 8))
+    B[0, 0], B[1, 1] = -1.5, 1.5
+    with pytest.raises(TransportError, match="not positive"):
+        harness.spectral_w2(basis, B)
 
 
 # ---------------------------------------------------------------------------
