@@ -9,6 +9,7 @@ on its own grid and is interpolated with a cubic spline where needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -40,11 +41,13 @@ class Potential:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
 
+    @cached_property
     def spline(self) -> CubicSpline:
+        """The interpolating spline, built once per potential."""
         return CubicSpline(self.nodes, self.values)
 
     def __call__(self, x):
-        return self.spline()(np.asarray(x, dtype=float))
+        return self.spline(np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)

@@ -85,7 +85,7 @@ class SimulationConfig:
             raise SimulationError("resampling applies to the killed mode only")
         self.drift = None
         if self.domain.potential is not None:
-            spline = self.domain.potential.spline()
+            spline = self.domain.potential.spline
             self.drift = lambda x: spline(x, 1)
 
     def n_steps(self) -> int:

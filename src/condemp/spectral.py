@@ -52,6 +52,8 @@ __all__ = [
 ORTHO_TOL = 1e-8
 PANEL_ORDER = 16         # Gauss points per panel of the transport-equation rules
 PHASE_CHUNK = 2**17      # phase-table entries per chunk (2 MiB of complex128)
+LEGENDRE_SWEEPS = 10     # Newton sweeps allowed for a Gauss-Legendre rule (4 at n = 8000)
+NODE_STEP = 4e-16        # a Gauss-Legendre rule has converged when no node moves more
 
 
 class BasisError(ValueError):
@@ -70,10 +72,45 @@ def gauss_legendre(n: int, a: float, b: float):
 
 @lru_cache(maxsize=16)
 def _legendre_rule(n: int):
-    """numpy's n-point rule on (-1, 1), computed once per n, read-only."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    """The n-point Gauss-Legendre rule on (-1, 1), ascending, computed once
+    per n, read-only.
+
+    Newton's method on the three-term recurrence, from Tricomi's initial
+    guesses, for the ceil(n/2) nonnegative nodes; the others mirror them, and
+    for odd n the middle node is exactly 0.  Weights are
+    2 / ((1 - x^2) P_n'(x)^2) at the final nodes.  O(n) memory and O(n^2)
+    time, against O(n^2) and O(n^3) for a companion eigensolve (Hale &
+    Townsend 2013, SIAM J. Sci. Comput. 35).  A rule whose Newton steps are
+    not all below NODE_STEP within LEGENDRE_SWEEPS sweeps raises."""
+    if n < 1:
+        raise BasisError(f"a Gauss-Legendre rule needs at least 1 node, got {n}")
+    k = np.arange(1, (n + 1) // 2 + 1)
+    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    if n % 2:
+        x[-1] = 0.0         # P_n(0) = 0 exactly for odd n: Newton keeps it
+    for _ in range(LEGENDRE_SWEEPS):
+        p, dp = _legendre_pair(n, x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= NODE_STEP:
+            break
+    else:
+        raise BasisError(f"Gauss-Legendre nodes for n = {n} did not converge in "
+                         f"{LEGENDRE_SWEEPS} Newton sweeps")
+    dp = _legendre_pair(n, x)[1]
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+    x = np.concatenate([-x[:n // 2], x[::-1]])
+    w = np.concatenate([w[:n // 2], w[::-1]])
     x.flags.writeable = w.flags.writeable = False
     return x, w
+
+
+def _legendre_pair(n: int, x: np.ndarray):
+    """P_n and P_n' at interior points x, by the three-term recurrence."""
+    prev, p = np.ones_like(x), x
+    for j in range(1, n):
+        prev, p = p, ((2 * j + 1) * x * p - j * prev) / (j + 1)
+    return p, n * (prev - x * p) / ((1.0 - x) * (1.0 + x))
 
 
 def mode_table(domain: Domain, M: int):
@@ -198,6 +235,14 @@ class SpectralBasis:
     def mode_indices(self) -> np.ndarray:
         """Per-axis indices (M, dim) of the closed-form modes."""
         return mode_table(self.domain, self.M)[1]
+
+    @cached_property
+    def grid_ratio_deriv(self) -> np.ndarray:
+        """`eval_ratio_deriv` on the basis grid, (M, N), built once per basis,
+        read-only."""
+        table = self.eval_ratio_deriv(self.grid)
+        table.flags.writeable = False
+        return table
 
     # ---- evaluation -------------------------------------------------
 
@@ -393,10 +438,13 @@ class SpectralBasis:
         dom = self.domain
         if dom.potential is None:
             return np.full(x.shape, 1.0 / dom.lengths[0])
-        V = dom.potential_values(x)
-        Vg = dom.potential_values(self.grid)
-        Z = float(np.dot(np.exp(Vg), self.weights / self.mu_lebesgue))
-        return np.exp(V) / Z
+        return np.exp(dom.potential_values(x)) / self._potential_mass
+
+    @cached_property
+    def _potential_mass(self) -> float:
+        """Z, the integral of e^V over the interval by the basis quadrature."""
+        Vg = self.domain.potential_values(self.grid)
+        return float(np.dot(np.exp(Vg), self.weights / self.mu_lebesgue))
 
     def integrate(self, values) -> float:
         """Integral against mu of a grid-sampled function."""

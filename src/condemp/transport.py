@@ -104,7 +104,7 @@ def _quantile_grid(n_quantiles: int):
     n_mid = max(8, n_quantiles // per_panel - 2 * n_geo)
     edges = np.unique(np.concatenate(
         [[0.0], geo, np.linspace(geo[-1], 1.0 - geo[-1], n_mid), 1.0 - geo[::-1], [1.0]]))
-    gx, gw = np.polynomial.legendre.leggauss(per_panel)
+    gx, gw = _legendre_rule(per_panel)
     a, b = edges[:-1], edges[1:]
     u = (0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * gx[None, :]).ravel()
     w = (0.5 * (b - a)[:, None] * gw[None, :]).ravel()
@@ -492,7 +492,7 @@ def h_minus1_upper_bound(h: np.ndarray, basis: SpectralBasis):
     gaps[0] = 1.0
     coef = c / gaps
     coef[0] = 0.0
-    grad = -(coef @ basis.eval_ratio_deriv(basis.grid))
+    grad = -(coef @ basis.grid_ratio_deriv)
 
     negative = hvals < 0
     weight = np.zeros_like(hvals)

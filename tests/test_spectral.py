@@ -1,11 +1,12 @@
 import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from condemp import (build_analytic_basis, mu_coefficients, project,
-                     solve_sturm_liouville, unit_interval)
+                     solve_sturm_liouville, spectral, unit_interval)
 from condemp.domains import DIRICHLET, NEUMANN, Domain, DomainError, Potential, rectangle
 from condemp.measures import InitialDistribution
 from condemp.semigroup import conditional_density
@@ -38,9 +39,40 @@ def test_orthonormality_fifty_modes_400_nodes():
     assert basis.orthonormality_residual() <= 1e-10
 
 
-@pytest.mark.parametrize("n", [12, 576, 2112])
-def test_gauss_legendre_is_numpy_rule_scaled(n):
-    x, w = np.polynomial.legendre.leggauss(n)
+def _mp_legendre(n, x0, mp):
+    """The root of P_n nearest x0 and its Gauss weight, by Newton on the
+    three-term recurrence in 30-digit arithmetic."""
+    def pair(x):
+        prev, p = mp.mpf(1), x
+        for j in range(1, n):
+            prev, p = p, ((2 * j + 1) * x * p - j * prev) / (j + 1)
+        return p, n * (prev - x * p) / (1 - x * x)
+    x = mp.mpf(x0)
+    for _ in range(20):
+        p, dp = pair(x)
+        x -= p / dp
+        if abs(p / dp) < mp.mpf(10) ** -28:
+            break
+    return x, 2 / ((1 - x * x) * pair(x)[1] ** 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 16, 576, 2112])
+def test_gauss_legendre_matches_extended_precision(n):
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    x, w = _legendre_rule(n)
+    xn, wn = np.polynomial.legendre.leggauss(n)
+    assert x.size == w.size == n and np.all(np.diff(x) > 0)
+    # both end nodes, the middle node and two interior nodes
+    for i in sorted({0, n // 4, n // 2, (3 * n) // 4, n - 1}):
+        ref_x, ref_w = _mp_legendre(n, xn[i], mp)
+        assert abs(float(x[i] - ref_x)) <= 2.3e-16
+        err, err_numpy = (abs(float((v - ref_w) / ref_w)) for v in (w[i], wn[i]))
+        # no less accurate than numpy's rule, beyond the rounding of n recurrence steps
+        assert err <= 1e-10 and err <= err_numpy + n * EPS, (i, err, err_numpy)
+    if n % 2:
+        assert x[n // 2] == 0.0
     a, b = -0.25, 1.5
     nodes, weights = gauss_legendre(n, a, b)
     assert np.array_equal(nodes, 0.5 * (b - a) * (x + 1.0) + a)
@@ -48,6 +80,24 @@ def test_gauss_legendre_is_numpy_rule_scaled(n):
     for raw in _legendre_rule(n):
         assert not raw.flags.writeable
     assert nodes.flags.writeable and weights.flags.writeable
+
+
+def test_gauss_legendre_rule_in_linear_memory():
+    tracemalloc.start()
+    try:
+        _legendre_rule.__wrapped__(2112)       # uncached: numpy's eigensolve took 34 MiB
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_gauss_legendre_rule_that_does_not_converge_raises(monkeypatch):
+    monkeypatch.setattr(spectral, "LEGENDRE_SWEEPS", 1)
+    with pytest.raises(BasisError, match="did not converge"):
+        _legendre_rule.__wrapped__(576)
+    with pytest.raises(BasisError, match="at least 1 node"):
+        _legendre_rule.__wrapped__(0)
 
 
 @pytest.mark.parametrize("boundary, M", [(DIRICHLET, 128), (NEUMANN, 512)])

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicSpline, PchipInterpolator
 from scipy.optimize import linprog
 from scipy.special import logsumexp
 
-from condemp import (build_analytic_basis, harness, mu_coefficients, project,
-                     solve_sturm_liouville, transport, unit_interval)
+from condemp import (build_analytic_basis, domains, harness, mu_coefficients, project,
+                     solve_sturm_liouville, spectral, transport, unit_interval)
 from condemp.domains import NEUMANN, Potential
 from condemp.measures import GridMeasure, InitialDistribution
 from condemp.semigroup import conditional_density, mean_occupation_coefficients, rho_tilde
@@ -145,6 +145,28 @@ def test_displacement_sturm_liouville_matches_grid_route():
         grid = w2_quantile_1d(harness.spectral_measure(cd, basis, 8193), reference)
         res = harness.spectral_w2(basis, harness._fluctuation_block(cd))
         assert abs(res.w2_squared - grid.w2_squared) <= grid.error_estimate
+
+
+def test_displacement_row_builds_each_spline_once(monkeypatch):
+    # the mode splines once per basis, the potential's once per potential (at
+    # the basis build): rows on a V = 2x basis rebuilt it at every call
+    built = []
+
+    class Counting(CubicSpline):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "CubicSpline", Counting)
+    monkeypatch.setattr(domains, "CubicSpline", Counting)
+    basis = _sl_basis()
+    f = harness._fluctuation_block(conditional_density(InitialDistribution.from_mu(), basis, 2.0))
+    counts = []
+    for _ in range(2):
+        built.clear()
+        harness.spectral_w2(basis, f)
+        counts.append(len(built))
+    assert counts == [basis.M, 0]
 
 
 def test_displacement_refuses_a_signed_density():
@@ -567,6 +589,18 @@ def test_upper_bound_flags_negative_nodes():
     h = 1.0 + 1.2 * basis.ground_ratio[1]     # dips below zero
     out = h_minus1_upper_bound(h, basis)
     assert out["excluded_nodes"] > 0
+
+
+def test_upper_bound_builds_its_gradient_table_once_per_basis(monkeypatch):
+    calls = []
+    deriv = spectral.SpectralBasis.eval_ratio_deriv
+    monkeypatch.setattr(spectral.SpectralBasis, "eval_ratio_deriv",
+                        lambda self, x: calls.append(1) or deriv(self, x))
+    basis = build_analytic_basis(unit_interval(), 32)
+    for c in (1e-3, 1e-2, 0.1):
+        h_minus1_upper_bound(1.0 + c * basis.ground_ratio[1], basis)
+    assert len(calls) == 1
+    assert not basis.grid_ratio_deriv.flags.writeable
 
 
 # ---------------------------------------------------------------------------
