@@ -42,6 +42,7 @@ _ALLOWED_KEYS = {
     "w2_method", "n_quantiles", "grid_nodes", "mc", "seed", "out",
 }   # n_quantiles is accepted and ignored: no row inverts quantile levels
 _ALLOWED_MC_KEYS = {"dt", "n_paths", "islands", "resample", "n_bins", "horizon", "slope_times"}
+_DOMAIN_KEYS = {"kind", "bounds", "boundary", "potential"}
 _NU_FIELDS = {"mu": (), "mu0": (), "point": ("x",), "density_mu": ("values", "nodes")}
 W2_METHODS = ("quantile1d", "exact-discrete", "entropic")
 EXACT_ATOMS = 384      # atoms per side of the exact monotone-coupling route
@@ -85,33 +86,32 @@ class ExperimentConfig:
             raise ConfigError(f"modes must be at least 1, got {self.modes}")
         if self.grid_nodes < 2:
             raise ConfigError(f"grid_nodes must be at least 2, got {self.grid_nodes}")
+        if not _increasing_times(self.times):
+            raise ConfigError("times must be a nonempty list of positive times (finite real "
+                              f"numbers, strictly increasing), got {self.times!r}")
+        self.times = [float(t) for t in self.times]
         _check_nu(self.nu_spec, self.domain)
         _check_mc(self.mc)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        unknown = set(doc) - _ALLOWED_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        _closed(doc, _ALLOWED_KEYS, "config")
         if doc.get("version") != CONFIG_VERSION:
             raise ConfigError(f"unrecognized config version {doc.get('version')!r}; "
                               f"expected {CONFIG_VERSION!r}")
         if "domain" not in doc:
             raise ConfigError("config needs a domain")
         mc = doc.get("mc", {}) or {}
-        unknown_mc = set(mc) - _ALLOWED_MC_KEYS
-        if unknown_mc:
-            raise ConfigError(f"unknown mc keys: {sorted(unknown_mc)}")
-        times = [float(t) for t in doc.get("times", [2.0, 4.0, 8.0, 16.0])]
-        if not times or min(times) <= 0:
-            raise ConfigError(f"times must be a nonempty list of positive times, got {times}")
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-            raise ConfigError("time grid must be strictly increasing")
+        _closed(mc, _ALLOWED_MC_KEYS, "mc")
+        # a misspelt key would otherwise fall back to its default (V = 0 for the potential)
+        _closed(doc["domain"], _DOMAIN_KEYS, "domain")
+        if doc["domain"].get("potential") is not None:
+            _closed(doc["domain"]["potential"], {"nodes", "values"}, "domain.potential")
         present = {key: doc[key] for key in
                    ("modes", "tol", "w2_method", "grid_nodes", "seed", "out")
                    if key in doc}
         return cls(domain=Domain.from_dict(doc["domain"]), nu_spec=doc.get("nu", {"kind": "mu"}),
-                   times=times, mc=mc, **present)
+                   times=doc.get("times", [2.0, 4.0, 8.0, 16.0]), mc=mc, **present)
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
@@ -138,6 +138,20 @@ def _finite_numbers(v) -> bool:
     return isinstance(v, (list, tuple)) and all(_real(x) and np.isfinite(x) for x in v)
 
 
+def _increasing_times(v) -> bool:
+    """A nonempty list of finite, positive, strictly increasing real numbers."""
+    return (_finite_numbers(v) and len(v) > 0 and v[0] > 0
+            and all(t2 > t1 for t1, t2 in zip(v, v[1:])))
+
+
+def _closed(doc, allowed: set, what: str):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be an object, got {doc!r}")
+    unknown = set(doc) - allowed
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 def _check_nu(spec, domain: Domain):
     """Reject starts that would fail only mid-run, or run on an extrapolated
     density: rectangles take mu, mu0 and point; a tabulated density is
@@ -145,6 +159,7 @@ def _check_nu(spec, domain: Domain):
     kind = spec.get("kind", "mu") if isinstance(spec, dict) else None
     if kind not in _NU_FIELDS:
         raise ConfigError(f"unknown nu kind {kind!r}; choose from {list(_NU_FIELDS)}")
+    _closed(spec, {"kind", "name", *_NU_FIELDS[kind]}, "nu")
     missing = [k for k in _NU_FIELDS[kind] if k not in spec]
     if missing:
         raise ConfigError(f"nu of kind {kind!r} needs {missing}")
@@ -201,12 +216,9 @@ def _check_mc(mc: dict):
             raise ConfigError(f"mc.{key} must be an integer of at least {least}, got {v!r}")
     if "resample" in mc and not isinstance(mc["resample"], bool):
         raise ConfigError(f"mc.resample must be true or false, got {mc['resample']!r}")
-    ts = mc.get("slope_times")
-    if "slope_times" in mc and not (
-            isinstance(ts, (list, tuple)) and ts and all(_real(t) for t in ts)
-            and ts[0] > 0 and all(t2 > t1 for t1, t2 in zip(ts, ts[1:]))):
-        raise ConfigError("mc.slope_times must be a nonempty list of positive, "
-                          f"increasing times, got {ts!r}")
+    if "slope_times" in mc and not _increasing_times(mc["slope_times"]):
+        raise ConfigError("mc.slope_times must be a nonempty list of positive, finite, "
+                          f"increasing times, got {mc['slope_times']!r}")
 
 
 def resolve_nu(spec: dict, basis: SpectralBasis) -> InitialDistribution:

@@ -5,7 +5,7 @@ on an ascending node grid held as one piecewise polynomial, the
 shape-preserving (PCHIP) cubic interpolant of sampled values or, for
 histograms, the piecewise constant of per-cell values.  Its antiderivative
 is the monotone CDF.  Quantiles find their cell in the node CDF table and
-are inverted there, in cache-sized blocks of levels: linear interpolation,
+are inverted there, a few thousand levels at a time: linear interpolation,
 exact on linear CDF pieces, then a bracketed Newton iteration on the
 cell's polynomial.
 
@@ -24,8 +24,7 @@ __all__ = ["MeasureError", "GridMeasure", "InitialDistribution"]
 
 
 NEWTON_ITERS = 60      # cap on guarded Newton steps per quantile inversion
-QUANTILE_BLOCK = 16384  # levels inverted at once; fastest of 2^11..2^15: work arrays stay in L2
-QUANTILE_CACHE = 2     # level arrays remembered per measure: w2_quantile_1d alternates two
+QUANTILE_BLOCK = 4096  # levels inverted at once: bounds the sweep's ~25 work arrays
 EPS, TINY = np.finfo(float).eps, np.finfo(float).smallest_subnormal
 
 
@@ -122,7 +121,6 @@ class GridMeasure:
         # monotonicity guard for corrupt inputs
         if np.any(np.diff(self._cdf_nodes) < -1e-14):
             raise MeasureError("CDF not monotone (corrupt density input)")
-        self._quantiles: list = []     # (levels, read-only quantiles), oldest first
 
     # ---- basic queries ------------------------------------------------
 
@@ -153,87 +151,62 @@ class GridMeasure:
         polynomial's lowest-order term) and stops once the residual is
         within the rounding of its Horner sum, or the Newton step or the
         bracket is a few ulps of x.  Levels still open after NEWTON_ITERS
-        steps raise MeasureError.  Levels go QUANTILE_BLOCK at a time into an
-        output allocated first, so a block's work arrays stay in cache; each
+        steps raise MeasureError.  Levels go QUANTILE_BLOCK at a time; each
         level's path is its own, so no bit depends on the blocking.
-
-        The results for the last QUANTILE_CACHE level arrays are kept, keyed
-        by the clipped levels themselves (equal shape and values), and come
-        back read-only; the oldest entry is evicted first.
         """
         u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
-        for levels, x in self._quantiles:
-            if levels.shape == u.shape and np.array_equal(levels, u):
-                return x
-        x = self._invert(u.ravel()).reshape(u.shape)
-        x.flags.writeable = False
-        if len(self._quantiles) == QUANTILE_CACHE:
-            del self._quantiles[0]
-        self._quantiles.append((u, x))
-        return x
+        blocks = np.split(u.ravel(), range(QUANTILE_BLOCK, u.size, QUANTILE_BLOCK))
+        return np.concatenate([self._invert(b) for b in blocks]).reshape(u.shape)
 
     def _invert(self, u: np.ndarray) -> np.ndarray:
         """Quantiles of the flat level array u, as `quantile` describes."""
-        out, F = np.empty_like(u), self.node_cdf
-        for b in range(0, u.size, QUANTILE_BLOCK):
-            ub = u[b:b + QUANTILE_BLOCK]
-            j = np.clip(np.searchsorted(F, ub, side="left"), 1, F.size - 1)
-            F0, F1 = F[j - 1], F[j]
-            x0, x1 = self.nodes[j - 1], self.nodes[j]
-            s = np.where(F1 > F0, (ub - F0) / np.where(F1 > F0, F1 - F0, 1.0), 0.0) * (x1 - x0)
-            # Newton in the cell-local variable s = x - x0, on nonlinear cells
-            coef = np.take(self._cdf.c, j - 1, axis=1)    # one contiguous row per order
-            target, lo, hi = ub * self._mass, np.zeros_like(s), x1 - x0
-            open_ = np.flatnonzero(np.any(coef[:-2] != 0, axis=0))
-            # Where the density vanishes at x0 the cell's CDF starts as c_k s^k,
-            # k >= 2, and a level far below the cell's mass has its root far
-            # above the linear start and far below the cell width, which guarded
-            # Newton nears only geometrically.  Such levels (linear start below
-            # sqrt(EPS) times the root s0 of that lowest-order term) start at s0.
-            v = open_[coef[-2, open_] == 0]
-            low = coef[-2::-1, v]                      # orders 1 .. 4
-            k = np.argmax(low != 0, axis=0)
-            ck = low[k, np.arange(v.size)]
-            s0 = (np.maximum(target[v] - coef[-1, v], 0.0)
-                  / np.where(ck > 0, ck, np.inf)) ** (1.0 / (k + 1))
-            far = s[v] < np.sqrt(EPS) * s0
-            s[v[far]] = np.minimum(s0[far], hi[v[far]])
-            # sweeps on the open levels: views of the block's arrays until some close
-            sel = open_ if open_.size < s.size else slice(None)
-            c, t, xo, lo, hi, si = coef[:, sel], target[sel], x0[sel], lo[sel], hi[sel], s[sel]
-            for _ in range(NEWTON_ITERS):
-                if si.size == 0:
-                    break
-                tol = 2 * EPS * (np.abs(xo) + si) + TINY    # a few ulps of x and s
-                g, dg, size, w = c[0].copy(), np.zeros_like(si), np.abs(c[0]), np.empty_like(si)
-                for ck in c[1:]:                            # size: Horner sum of |terms|
-                    np.add(np.multiply(dg, si, out=dg), g, out=dg)
-                    np.add(np.multiply(g, si, out=g), ck, out=g)
-                    np.add(np.multiply(size, si, out=size), np.abs(ck, out=w), out=size)
-                g -= t
-                np.copyto(lo, si, where=g < 0)
-                np.copyto(hi, si, where=g > 0)
-                ag = np.abs(g)
-                size += t
-                done = ag <= np.add(np.multiply(size, 0.5 * EPS, out=size), TINY, out=size)
-                done |= ag <= np.multiply(tol, dg, out=w)
-                done |= np.subtract(hi, lo, out=w) <= tol
-                pos = dg > 0
-                s_new = np.subtract(si, np.divide(g, np.where(pos, dg, 1.0), out=g), out=g)
-                pos &= (s_new > lo) & (s_new < hi)
-                np.copyto(s_new, np.multiply(np.add(lo, hi, out=w), 0.5, out=w), where=~pos)
-                keep = ~done
-                np.copyto(si, s_new, where=keep)            # a closed level keeps its s
-                if not keep.all():
-                    s[sel] = si                             # final for the levels closed here
-                    sel = open_ = open_[keep]
-                    c, t, xo = np.compress(keep, c, axis=1), t[keep], xo[keep]
-                    lo, hi, si = lo[keep], hi[keep], si[keep]
-            else:
-                raise MeasureError(f"quantile inversion left {si.size} levels unconverged "
-                                   f"after {NEWTON_ITERS} Newton steps")
-            np.minimum(x0 + s, x1, out=out[b:b + QUANTILE_BLOCK])
-        return out
+        F = self.node_cdf
+        j = np.clip(np.searchsorted(F, u, side="left"), 1, F.size - 1)
+        F0, F1 = F[j - 1], F[j]
+        x0, x1 = self.nodes[j - 1], self.nodes[j]
+        s = np.where(F1 > F0, (u - F0) / np.where(F1 > F0, F1 - F0, 1.0), 0.0) * (x1 - x0)
+        # Newton in the cell-local variable s = x - x0, on nonlinear cells
+        coef = self._cdf.c[:, j - 1]
+        target, lo, hi = u * self._mass, np.zeros_like(s), x1 - x0
+        open_ = np.flatnonzero(np.any(coef[:-2] != 0, axis=0))
+        # Where the density vanishes at x0 the cell's CDF starts as c_k s^k,
+        # k >= 2, and a level far below the cell's mass has its root far
+        # above the linear start and far below the cell width, which guarded
+        # Newton nears only geometrically.  Such levels (linear start below
+        # sqrt(EPS) times the root s0 of that lowest-order term) start at s0.
+        v = open_[coef[-2, open_] == 0]
+        low = coef[-2::-1, v]                      # orders 1 .. 4
+        k = np.argmax(low != 0, axis=0)
+        ck = low[k, np.arange(v.size)]
+        s0 = (np.maximum(target[v] - coef[-1, v], 0.0)
+              / np.where(ck > 0, ck, np.inf)) ** (1.0 / (k + 1))
+        far = s[v] < np.sqrt(EPS) * s0
+        s[v[far]] = np.minimum(s0[far], hi[v[far]])
+        for _ in range(NEWTON_ITERS):
+            if open_.size == 0:
+                break
+            c, t, si = coef[:, open_], target[open_], s[open_]
+            tol = 2 * EPS * (np.abs(x0[open_]) + si) + TINY    # a few ulps of x and s
+            g, dg, size = c[0], np.zeros_like(si), np.abs(c[0])
+            for ck in c[1:]:                                   # size: Horner sum of |terms|
+                dg = dg * si + g
+                g = g * si + ck
+                size = size * si + np.abs(ck)
+            g = g - t
+            lo_i = np.where(g < 0, si, lo[open_])
+            hi_i = np.where(g > 0, si, hi[open_])
+            done = ((np.abs(g) <= 0.5 * EPS * (size + t) + TINY) | (np.abs(g) <= tol * dg)
+                    | (hi_i - lo_i <= tol))
+            s_new = si - g / np.where(dg > 0, dg, 1.0)
+            inside = (dg > 0) & (s_new > lo_i) & (s_new < hi_i)
+            s_new = np.where(inside, s_new, 0.5 * (lo_i + hi_i))
+            keep = ~done                                       # a closed level keeps its s
+            open_ = open_[keep]
+            s[open_], lo[open_], hi[open_] = s_new[keep], lo_i[keep], hi_i[keep]
+        if open_.size:
+            raise MeasureError(f"quantile inversion left {open_.size} levels unconverged "
+                               f"after {NEWTON_ITERS} Newton steps")
+        return np.minimum(x0 + s, x1)
 
     # ---- integration and atomization -----------------------------------
 

@@ -177,6 +177,23 @@ BAD_AT_LOAD = {
     "seed-2^63": ({"seed": 2**63}, "seed must be in \\[0, 2\\^63\\)"),
     "tol-str": ({"tol": "1e-8"}, "tol must be a finite positive number, got '1e-8'"),
     "modes_limit": ({"modes_limit": 2000}, "unknown config keys: \\['modes_limit'\\]"),
+    # times are read as given: JSON NaN and Infinity, true and "2" are not times
+    "times-nan": ({"times": [float("nan")]}, "times must be a nonempty list of positive times"),
+    "times-inf": ({"times": [2.0, float("inf")]}, "times must be a nonempty list"),
+    "times-bool": ({"times": [True, 2.0]}, "times must be a nonempty list"),
+    "times-str": ({"times": ["2", "4"]}, "times must be a nonempty list"),
+    "mc.slope_times-inf": ({"mc": {"slope_times": [0.2, float("inf")]}},
+                           "mc.slope_times must be a nonempty list of positive, finite"),
+    # the key sets are closed below the top level too: these ran as nu = mu and V = 0
+    "nu-mu-x": ({"nu": {"x": 0.3}}, "unknown nu keys: \\['x'\\]"),
+    "nu-point-values": ({"nu": {"kind": "point", "x": 0.5, "values": [1.0]}},
+                        "unknown nu keys: \\['values'\\]"),
+    "domain-potental": ({"domain": dict(BASE_CONFIG["domain"],
+                                        potental=DRIFT_INTERVAL["potential"])},
+                        "unknown domain keys: \\['potental'\\]"),
+    "domain.potential-knots": ({"domain": dict(DRIFT_INTERVAL, potential=dict(
+        DRIFT_INTERVAL["potential"], knots=[0.0, 1.0]))},
+                               "unknown domain.potential keys: \\['knots'\\]"),
     "sl_grid": ({"sl_grid": 2000}, "unknown config keys: \\['sl_grid'\\]"),
 }
 
@@ -190,6 +207,20 @@ def test_bad_values_rejected_at_load(tmp_path, capsys, overrides, message):
     assert run_cli("limit", "--config", str(path), "--out", out) == 2
     assert "error: " in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "limit.json"))
+
+
+@pytest.mark.parametrize("domain", [RECTANGLE, NEUMANN_INTERVAL, DRIFT_INTERVAL],
+                         ids=["rectangle", "neumann", "drift"])
+def test_domain_round_trips_through_the_config(domain):
+    dom = ExperimentConfig.from_dict(dict(BASE_CONFIG, domain=domain)).domain
+    again = ExperimentConfig.from_dict(dict(BASE_CONFIG, domain=dom.to_dict())).domain
+    assert again.to_dict() == dom.to_dict()
+
+
+def test_infinite_slope_time_stops_mc_at_load(tmp_path, capsys):
+    path = write_config(tmp_path, mc={"slope_times": [0.2, float("inf")]})
+    assert run_cli("mc", "--config", str(path), "--out", str(tmp_path / "res")) == 2
+    assert "error: mc.slope_times must be" in capsys.readouterr().err
 
 
 def test_density_start_with_mass_1_against_mu_loads():

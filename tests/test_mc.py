@@ -9,7 +9,7 @@ from condemp import (build_analytic_basis, mu_coefficients, project,
 from condemp.domains import NEUMANN
 from condemp.measures import GridMeasure, InitialDistribution
 from condemp.mc import (BLOCK, PathEnsembleSummary, SimulationConfig, SimulationError,
-                        conditional_empirical_w2, simulate)
+                        _noise_floor, _rng_for, conditional_empirical_w2, simulate)
 from condemp.semigroup import survival_probability
 from condemp.transport import w1_grid_1d, w2_quantile_1d
 
@@ -193,6 +193,42 @@ def test_direct_noise_floor_counts_every_survivor():
     assert floors[1] == pytest.approx(floors[0] / 4, rel=1e-12)
     assert floors[2] == pytest.approx(floors[0] / 80, rel=1e-12)
     assert ses[0] == ses[1] == ses[2]
+
+
+def test_bootstrap_matches_per_resample_quantile_distance():
+    # the bootstrap inverts the reference once; each resample's W2^2 is still
+    # the one w2_quantile_1d gives on its 4000-level grid, so the SE, the
+    # bootstrap mean and the distance are those of per-resample calls, bit for bit
+    x = np.linspace(0.0, 1.0, 2049)
+    reference = GridMeasure.normalized(x, 0.1 + np.sin(np.pi * x) ** 2)
+    edges = np.linspace(0.0, 1.0, 65)
+    widths = np.diff(edges)
+    exact = np.diff(reference.cdf(edges)) / widths
+    islands = exact + 0.02 * np.random.default_rng(3).standard_normal((16, exact.size))
+    summary = PathEnsembleSummary(
+        config=kill_config(seed=11, resample=True, n_bins=64, islands=16),
+        bin_edges=edges, histogram=islands.mean(axis=0), stderr=np.zeros(64),
+        survival_count=16_000, survival_fraction=1.0,
+        effective_sample_size=16_000.0, final_positions=np.empty(0),
+        island_histograms=islands)
+    res, se = conditional_empirical_w2(summary, reference, n_bootstrap=20)
+
+    cdfs = np.zeros((16, edges.size))
+    np.cumsum(islands * widths, axis=1, out=cdfs[:, 1:])
+    cdfs /= cdfs[:, -1:]
+    rho = reference.pdf(edges)
+    rng, vals = _rng_for(11, 10**6), np.empty(20)
+    for k in range(20):
+        pick = (rng.random(16) * 16).astype(int)
+        gm = GridMeasure.from_histogram(edges, islands[pick].mean(axis=0) * widths)
+        w2sq = w2_quantile_1d(gm, reference, n_quantiles=4000).w2_squared
+        vals[k] = np.sqrt(max(w2sq - _noise_floor(cdfs[pick], edges, rho, 16), 0.0))
+    base = w2_quantile_1d(summary.occupation_measure(), reference, n_quantiles=20_000)
+    assert se > 0.0
+    assert se == res.details["bootstrap_se"] == float(vals.std(ddof=1))
+    assert res.details["bootstrap_mean"] == float(vals.mean())
+    assert res.w2 == np.sqrt(max(base.w2_squared - _noise_floor(cdfs, edges, rho, 16), 0.0))
+    assert res.error_estimate == base.error_estimate + 3 * se
 
 
 def test_conditional_w2_needs_survivors():

