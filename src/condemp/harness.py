@@ -11,6 +11,7 @@ import csv
 import json
 import numbers
 import os
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,7 +22,8 @@ from .limits import LimitReport, compute_I, compute_I_neumann
 from .measures import GridMeasure, InitialDistribution
 from .mc import SimulationConfig, conditional_empirical_w2, simulate
 from .semigroup import (ConditionalDensity, conditional_density, mean_empirical_density,
-                        mean_occupation_coefficients, rho_tilde, survival_probability)
+                        mean_occupation_coefficients, survival_probability)
+from .semigroup import rho_tilde  # noqa: F401  (perfbench/spans.py times this name)
 from .spectral import (SpectralBasis, analytic_eigenvalues, build_analytic_basis,
                        gauss_legendre, mu_coefficients, nu_l2_budget, project,
                        solve_sturm_liouville)
@@ -76,7 +78,7 @@ class ExperimentConfig:
         # reads a key list holding an int of 2^63 or more as float64
         if not 0 <= self.seed < 2**63:
             raise ConfigError(f"seed must be in [0, 2^63), got {self.seed}")
-        if not (_real(self.tol) and np.isfinite(self.tol) and self.tol > 0):
+        if not (_real(self.tol) and self.tol > 0):
             raise ConfigError(f"tol must be a finite positive number, got {self.tol!r}")
         self.tol = float(self.tol)
         if self.w2_method not in W2_METHODS:
@@ -127,7 +129,8 @@ class ExperimentConfig:
 
 
 def _real(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+    """A finite real number, not a bool (nor a JSON integer beyond floats)."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _integer(v) -> bool:
@@ -135,7 +138,7 @@ def _integer(v) -> bool:
 
 
 def _finite_numbers(v) -> bool:
-    return isinstance(v, (list, tuple)) and all(_real(x) and np.isfinite(x) for x in v)
+    return isinstance(v, (list, tuple)) and all(_real(x) for x in v)
 
 
 def _increasing_times(v) -> bool:
@@ -207,7 +210,7 @@ def _check_nu(spec, domain: Domain):
 def _check_mc(mc: dict):
     """Reject MC values that would fail only mid-run, or run and mislead."""
     for key in ("dt", "horizon"):
-        if key in mc and not (_real(mc[key]) and np.isfinite(mc[key]) and mc[key] > 0):
+        if key in mc and not (_real(mc[key]) and mc[key] > 0):
             raise ConfigError(f"mc.{key} must be finite and positive, got {mc[key]!r}")
     # with one island every bootstrap resample is the same island
     for key, least in (("n_paths", 1), ("n_bins", 1), ("islands", 2)):
@@ -293,15 +296,8 @@ def spectral_measure(cd: ConditionalDensity, basis: SpectralBasis,
 def mean_occupation_measure(nu_c, basis: SpectralBasis, t: float,
                             n_nodes: int = 8193) -> GridMeasure:
     """Reflecting-case time-averaged occupation as a grid measure."""
-    return _occupation_measures(nu_c, basis, [t], n_nodes)[0]
-
-
-def _occupation_measures(nu_c, basis: SpectralBasis, times, n_nodes: int) -> list:
-    """`mean_occupation_measure` at each time."""
-    return [_fine_measure(
-        basis, n_nodes,
-        lambda _: np.maximum(mean_empirical_density(nu_c, basis, t, n_nodes=n_nodes), 0.0),
-        f"mean_occ(t={t:g})") for t in times]
+    density = mean_empirical_density(nu_c, basis, t, n_nodes=n_nodes)
+    return _fine_measure(basis, n_nodes, lambda _: np.maximum(density, 0.0), f"mean_occ(t={t:g})")
 
 
 def w2_by_method(method: str, m1: GridMeasure, m2: GridMeasure):
@@ -322,11 +318,12 @@ def w2_by_method(method: str, m1: GridMeasure, m2: GridMeasure):
 
 def spectral_w2(basis: SpectralBasis, fluctuation: np.ndarray):
     """W2(mu_0 + f mu, mu_0) for the fluctuation f = sum_mn B_mn phi_m phi_n
-    of a block B, or sum_m c_m phi_m of a vector c, by the monotone coupling
-    in displacement form (`SpectralBasis.transport_equation`): no grid
-    measure and no quantile levels.  Closed-form modes carry cosine phases
-    up to 2 M (a block) or M (a vector); numeric modes are splines, and the
-    rule takes one phase per knot of the basis grid."""
+    of a block B, or sum_m c_m phi_m of a vector c (not on closed-form
+    Dirichlet modes), by the monotone coupling in displacement form
+    (`SpectralBasis.transport_equation`): no grid measure and no quantile
+    levels.  Closed-form modes carry cosine phases up to 2 M (a block) or M
+    (a vector); numeric modes are splines, and the rule takes one phase per
+    knot of the basis grid."""
     phases = fluctuation.ndim * basis.M if basis.analytic else basis.grid.size
     return w2_displacement_1d(basis.transport_equation(fluctuation), basis.domain.bounds,
                               phases)
@@ -454,8 +451,8 @@ def _reflecting_rows(config: ExperimentConfig, basis: SpectralBasis, tail_bound:
                    for t in config.times]
     else:
         reference = mu0_measure(basis, config.grid_nodes)   # phi_0 = 1: this is mu
-        results = [w2_by_method(config.w2_method, m, reference) for m in
-                   _occupation_measures(nu_c, basis, config.times, config.grid_nodes)]
+        results = [w2_by_method(config.w2_method, mean_occupation_measure(
+            nu_c, basis, t, config.grid_nodes), reference) for t in config.times]
     return [{"w2": r.w2, "w2sq": r.w2_squared, "w2_error": r.error_estimate,
              "tail_bound": tail_bound} for r in results]
 
@@ -465,17 +462,16 @@ def _reflecting_rows(config: ExperimentConfig, basis: SpectralBasis, tail_bound:
 # ---------------------------------------------------------------------------
 
 def killed_rows(config: ExperimentConfig, basis: SpectralBasis, times) -> list:
-    """W2(h_t mu_0, mu_0) at each t by the config's route, with a certified
-    lower bound (Kantorovich dual, potential from the leading 1/t
-    fluctuation) and the weighted-H^-1 upper bound.  The quantile route
-    solves the coupling from the fluctuation block (`spectral_w2`); the
-    other routes, and the lower bound, transport grid measures of
-    `grid_nodes` nodes.  mu_0's grid measure and the potential's ratio
+    """W2(h_t mu_0, mu_0) at each t by the config's route, with the
+    weighted-H^-1 upper bound and a certified lower bound (Kantorovich dual,
+    potential the upper bound's H^-1(mu_0) potential of h_t - 1).  The
+    quantile route solves the coupling from the fluctuation block
+    (`spectral_w2`); the other routes, and the lower bound, transport grid
+    measures of `grid_nodes` nodes.  mu_0's grid measure and the ratio
     table are built once for every t.  `ordered` states
     lower <= W2^2 <= upper within the declared errors."""
     reference = mu0_measure(basis, config.grid_nodes)
     nu = resolve_nu(config.nu_spec, basis)
-    nu_c, mu_c = project(nu, basis), mu_coefficients(basis)
     xs = np.linspace(*basis.domain.bounds[:2], 4097)
     ratio = basis.eval_ratio(xs)
     rows = []
@@ -485,11 +481,7 @@ def killed_rows(config: ExperimentConfig, basis: SpectralBasis, times) -> list:
         res = (spectral_w2(basis, _fluctuation_block(cd)) if config.w2_method == "quantile1d"
                else w2_by_method(config.w2_method, mt, reference))
         upper = h_minus1_upper_bound(cd.grid_values, basis)
-
-        rt = rho_tilde(nu_c, mu_c, basis, t)
-        f_coeffs = np.zeros(basis.M)
-        f_coeffs[1:] = rt.coeffs[1:] / basis.gaps[1:]
-        lower = kantorovich_dual_lower(mt, reference, f_coeffs @ ratio, f_nodes=xs)
+        lower = kantorovich_dual_lower(mt, reference, upper["potential"] @ ratio, f_nodes=xs)
 
         tol = res.error_estimate + 1e-14 + abs(upper["coefficient_tail"])
         ordered = (lower["lower_bound"] <= res.w2_squared + tol

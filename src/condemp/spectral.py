@@ -21,12 +21,12 @@ the fold: their CDF gap is the matching sine series.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 from scipy.fft import dct
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 from scipy.linalg import eigh, eigh_tridiagonal
 
 from .domains import DIRICHLET, NEUMANN, Domain
@@ -213,7 +213,6 @@ class SpectralBasis:
     eigenfunctions: np.ndarray       # (M, N)
     ratio_sups: np.ndarray
     analytic: bool = True
-    _splines: dict = field(default_factory=dict, repr=False)
 
     @property
     def M(self) -> int:
@@ -247,15 +246,16 @@ class SpectralBasis:
     # ---- evaluation -------------------------------------------------
 
     def eval_modes(self, x, modes=None) -> np.ndarray:
-        """Eigenfunction values at arbitrary points, shape (M_sel, len(x))."""
+        """Eigenfunction values at arbitrary points, shape (M_sel, len(x)).
+        Numeric modes evaluate the selected columns of one spline."""
         sel = np.arange(self.M) if modes is None else np.asarray(modes)
         if self.analytic:
             return _tensor_modes(self.domain, self.mode_indices[sel], x, ratio=False)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty((sel.size, x.size))
-        for r, m in enumerate(sel):
-            out[r] = self._mode_spline(int(m))(x)
-        return out
+        spline = self._mode_spline
+        if modes is not None:
+            spline = PPoly.construct_fast(spline.c[..., sel], spline.x, axis=1)
+        # C order, as per-mode splines gave: BLAS rounds a transposed view apart
+        return np.ascontiguousarray(spline(np.atleast_1d(np.asarray(x, dtype=float))))
 
     def grid_series(self, C, n: int) -> np.ndarray:
         """sum_mn C_mn phi_m phi_n for an (M, M) block C, or sum_m c_m phi_m
@@ -302,6 +302,8 @@ class SpectralBasis:
         """The monotone coupling of mu_0 = phi_0^2 mu with mu_1 = mu_0 + f mu
         on an interval, in displacement form: f = sum_mn B_mn phi_m phi_n for
         an (M, M) block B, or sum_m b_m phi_m for a vector b, of zero mass.
+        Closed-form Dirichlet modes take a block only: the fold reads a
+        vector as row 0 of a block, which is f only where phi_0 = 1.
 
         Returns `at(x)`: for ascending points x, the Lebesgue density
         rho_0(x) and a function of the displacement d that returns
@@ -326,6 +328,8 @@ class SpectralBasis:
         if not self.analytic:
             return self._numeric_transport_equation(B)
         L, dirichlet = b - a, self.domain.boundary == DIRICHLET
+        if dirichlet and B.ndim == 1:
+            raise BasisError("closed-form Dirichlet fluctuations are (M, M) blocks, not vectors")
         beta = self._cosine_coefficients(B)     # beta_0 is the mass: 0
         P = int(np.flatnonzero(beta)[-1]) if np.any(beta[1:]) else 0
         p = np.arange(1, P + 1)
@@ -412,11 +416,8 @@ class SpectralBasis:
             out[:, inner] = (np.pi / L) * (k[:, None] * np.cos(ku) * s - np.sin(ku) * c) / s**2
             # interior limit at the faces is 0 by symmetry of the ratio
             return out
-        ratio = self.eval_ratio(self.grid)
-        out = np.empty((self.M, x.size))
-        for m in range(self.M):
-            out[m] = CubicSpline(self.grid, ratio[m])(x, 1)
-        return out
+        spline = CubicSpline(self.grid, self.eval_ratio(self.grid), axis=1)
+        return np.ascontiguousarray(spline(x, 1))
 
     def _ratio_safe_ground(self, x, phi):
         g = phi[0].copy()
@@ -424,10 +425,9 @@ class SpectralBasis:
         g[np.abs(g) < tiny] = tiny
         return g
 
-    def _mode_spline(self, m: int) -> CubicSpline:
-        if m not in self._splines:
-            self._splines[m] = CubicSpline(self.grid, self.eigenfunctions[m])
-        return self._splines[m]
+    @cached_property
+    def _mode_spline(self) -> CubicSpline:
+        return CubicSpline(self.grid, self.eigenfunctions, axis=1)
 
     # ---- quadrature and diagnostics ---------------------------------
 
@@ -641,9 +641,7 @@ def solve_sturm_liouville(domain: Domain, M: int, n_grid: int) -> SpectralBasis:
     w = wl * mu_leb
     w /= w.sum()
 
-    phi = np.empty((M, n_quad))
-    for m in range(M):
-        phi[m] = CubicSpline(xs, fs[:, m])(xg)
+    phi = np.ascontiguousarray(CubicSpline(xs, fs)(xg).T)
 
     # exact orthonormality w.r.t. the quadrature inner product
     G = (phi * w) @ phi.T

@@ -8,11 +8,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from condemp import build_analytic_basis, project, solve_sturm_liouville, unit_interval
+from condemp import (build_analytic_basis, harness, project, solve_sturm_liouville,
+                     unit_interval)
 from condemp.cli import main as cli_main
 from condemp.domains import NEUMANN, Potential
-from condemp.harness import (ConfigError, ExperimentConfig, _occupation_measures,
-                             limit_report, mu0_measure, run_convergence,
+from condemp.harness import (ConfigError, ExperimentConfig, limit_report,
+                             mean_occupation_measure, mu0_measure, run_convergence,
                              run_mc_crosscheck, run_sandwich, run_w2, spectral_measure)
 from condemp.limits import LimitError
 from condemp.measures import GridMeasure, InitialDistribution
@@ -195,6 +196,14 @@ BAD_AT_LOAD = {
         DRIFT_INTERVAL["potential"], knots=[0.0, 1.0]))},
                                "unknown domain.potential keys: \\['knots'\\]"),
     "sl_grid": ({"sl_grid": 2000}, "unknown config keys: \\['sl_grid'\\]"),
+    # JSON integers beyond the float range: float() and np.isfinite raise on them
+    "modes-huge": ({"modes": 10**400}, "modes must be an integer, got 1000"),
+    "times-huge": ({"times": [2.0, 10**400]}, "times must be a nonempty list"),
+    "seed-huge": ({"seed": 10**400}, "seed must be an integer, got 1000"),
+    "tol-huge": ({"tol": 10**400}, "tol must be a finite positive number"),
+    "mc.n_paths-huge": ({"mc": {"n_paths": 10**400}},
+                        "mc.n_paths must be an integer of at least 1"),
+    "mc.horizon-huge": ({"mc": {"horizon": 10**400}}, "mc.horizon must be finite and positive"),
 }
 
 
@@ -416,12 +425,56 @@ def test_reflecting_delta0_rows_meet_the_closed_form_within_their_error():
         assert abs(row["t2w2sq"] - 2.0 / 945.0) <= row["t"] ** 2 * row["w2_error"]
 
 
+@pytest.mark.parametrize("nu", ["mu", "mu0"])
+def test_reflecting_drift_start_at_mu_converges(tmp_path, nu):
+    # the occupation of a start at mu (mu0 = mu when reflecting) is mu: W2^2
+    # sits at the rounding floor of the series, ~1e-20, where the
+    # displacement Newton's relative stop is never met
+    nodes = np.linspace(0.0, 1.0, 41).tolist()
+    domain = dict(NEUMANN_INTERVAL, potential={"nodes": nodes, "values": [2 * x for x in nodes]})
+    path = write_config(tmp_path, domain=domain, nu={"kind": nu}, times=[2.0, 4.0], modes=128)
+    out = str(tmp_path / "res")
+    assert run_cli("converge", "--config", str(path), "--out", out) == 0
+    with open(os.path.join(out, "convergence.json")) as fh:
+        rows = json.load(fh)["rows"]
+    assert [r["t"] for r in rows] == [2.0, 4.0]
+    assert all(r["w2"] ** 2 <= 1e-18 for r in rows)
+
+
+def test_killed_lower_bound_reads_the_upper_bounds_potential(monkeypatch):
+    # both sides of the sandwich read one H^-1(mu_0) potential of h_t - 1:
+    # the rows neither build rho_tilde nor project nu and mu again
+    def refuse(*args, **kwargs):
+        raise AssertionError("killed rows rebuilt the potential")
+
+    for name in ("rho_tilde", "project", "mu_coefficients"):
+        monkeypatch.setattr(harness, name, refuse)
+    uppers, duals = [], []
+    upper, lower = harness.h_minus1_upper_bound, harness.kantorovich_dual_lower
+    monkeypatch.setattr(harness, "h_minus1_upper_bound",
+                        lambda h, basis: uppers.append(upper(h, basis)) or uppers[-1])
+    monkeypatch.setattr(harness, "kantorovich_dual_lower",
+                        lambda m1, m2, f, f_nodes: duals.append((f, f_nodes))
+                        or lower(m1, m2, f, f_nodes))
+    config = ExperimentConfig.from_dict(dict(BASE_CONFIG, times=[2.0, 4.0], modes=32))
+    basis = config.build_basis()
+    rows = harness.killed_rows(config, basis, config.times)
+    xs = np.linspace(0.0, 1.0, 4097)
+    ratio = basis.eval_ratio(xs)
+    assert len(uppers) == len(duals) == len(rows) == 2
+    for row, up, (f, f_nodes) in zip(rows, uppers, duals):
+        assert np.array_equal(f_nodes, xs)
+        assert np.array_equal(f, up["potential"] @ ratio)
+        assert row["ordered"] and 0.0 < row["lower"] <= row["w2sq"]
+
+
 def test_occupation_measures_are_each_times_own_series():
     # each t's density is bitwise the mean occupation series on the fine grid
     basis = build_analytic_basis(unit_interval(boundary=NEUMANN), 512)
     nu_c = project(InitialDistribution.from_point(0.0), basis)
     times, x = [4.0, 8.0, 16.0], np.linspace(0.0, 1.0, 8193)
-    for t, got in zip(times, _occupation_measures(nu_c, basis, times, x.size)):
+    for t in times:
+        got = mean_occupation_measure(nu_c, basis, t, x.size)
         own = np.maximum(mean_empirical_density(nu_c, basis, t, n_nodes=x.size), 0.0)
         expected = GridMeasure.normalized(x, own * basis.mu_lebesgue_at(x))
         assert np.array_equal(got.lebesgue_density, expected.lebesgue_density)

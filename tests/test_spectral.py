@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from condemp import (build_analytic_basis, mu_coefficients, project,
                      solve_sturm_liouville, spectral, unit_interval)
@@ -328,6 +329,23 @@ def test_sl_matches_analytic_basis():
     # eigenfunctions on the numeric grid, signs already aligned by convention
     ref = exact.eval_modes(numeric.grid)
     assert np.max(np.abs(numeric.eigenfunctions - ref)) <= 1e-5
+
+
+@pytest.mark.parametrize("boundary", [DIRICHLET, NEUMANN])
+def test_sl_tables_are_each_modes_own_spline(boundary):
+    # one vector-valued spline per table gives the per-mode splines bitwise,
+    # in C order, for every mode and for a selection
+    nodes = np.linspace(0.0, 1.0, 65)
+    dom = unit_interval(boundary=boundary, potential=Potential(nodes, 2.0 * nodes))
+    basis = solve_sturm_liouville(dom, 32, 2000)
+    x = np.linspace(0.0, 1.0, 1001)
+    modes = np.array([CubicSpline(basis.grid, phi)(x) for phi in basis.eigenfunctions])
+    deriv = np.array([CubicSpline(basis.grid, r)(x, 1) for r in basis.eval_ratio(basis.grid)])
+    for sel, expected in ((None, modes), ([0], modes[:1]), ([3, 1], modes[[3, 1]])):
+        got = basis.eval_modes(x, modes=sel)
+        assert got.flags.c_contiguous and np.array_equal(got, expected)
+    got = basis.eval_ratio_deriv(x)
+    assert got.flags.c_contiguous and np.array_equal(got, deriv)
 
 
 def test_sl_preconditions():

@@ -148,8 +148,9 @@ def test_displacement_sturm_liouville_matches_grid_route():
 
 
 def test_displacement_row_builds_each_spline_once(monkeypatch):
-    # the mode splines once per basis, the potential's once per potential (at
-    # the basis build): rows on a V = 2x basis rebuilt it at every call
+    # one spline of every mode once per basis, the potential's once per
+    # potential (at the basis build): rows on a V = 2x basis rebuilt it at
+    # every call
     built = []
 
     class Counting(CubicSpline):
@@ -166,7 +167,18 @@ def test_displacement_row_builds_each_spline_once(monkeypatch):
         built.clear()
         harness.spectral_w2(basis, f)
         counts.append(len(built))
-    assert counts == [basis.M, 0]
+    assert counts == [1, 0]
+
+
+def test_displacement_refuses_a_closed_form_dirichlet_vector():
+    # the cosine fold reads a vector as row 0 of a block, phi_0 sum_m c_m phi_m:
+    # for c = 0.05 e_1 at M = 16 that is W2^2 8.4e-5, against 1.26e-4 for the
+    # sine series itself by the quantile route
+    basis = build_analytic_basis(unit_interval(), 16)
+    c = np.zeros(16)
+    c[1] = 0.05
+    with pytest.raises(spectral.BasisError, match="are \\(M, M\\) blocks, not vectors"):
+        harness.spectral_w2(basis, c)
 
 
 def test_displacement_refuses_a_signed_density():
