@@ -8,6 +8,8 @@ on its own grid and is interpolated with a cubic spline where needed.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -22,6 +24,20 @@ class DomainError(ValueError):
     pass
 
 
+def finite_real(v) -> bool:
+    """A finite real number, not a bool (nor a JSON integer beyond floats)."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _real_vector(values, what: str) -> np.ndarray:
+    """A 1D list, tuple or array of finite reals, none a bool, as floats."""
+    if isinstance(values, np.ndarray) and values.ndim == 1:
+        values = values.tolist()
+    if not (isinstance(values, (list, tuple)) and all(finite_real(v) for v in values)):
+        raise DomainError(f"{what} must be a 1D list of finite real numbers")
+    return np.array(values, dtype=float)
+
+
 @dataclass(frozen=True)
 class Potential:
     """Tabulated smooth potential V on a 1D grid covering [a, b]."""
@@ -30,9 +46,9 @@ class Potential:
     values: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if nodes.ndim != 1 or nodes.shape != values.shape:
+        nodes = _real_vector(self.nodes, "domain.potential.nodes")
+        values = _real_vector(self.values, "domain.potential.values")
+        if nodes.shape != values.shape:
             raise DomainError("potential grid and values must be 1D arrays of equal length")
         if nodes.size < 4:
             raise DomainError("potential grid too coarse (need at least 4 nodes)")
@@ -52,7 +68,10 @@ class Potential:
 
 @dataclass(frozen=True)
 class Domain:
-    """Interval [a, b] or rectangle [a, b] x [c, d] with boundary condition."""
+    """Interval [a, b] or rectangle [a, b] x [c, d] with boundary condition.
+
+    Bounds are finite reals, not bools, and every axis length L keeps the
+    eigenvalue scale (pi / L)^2 a positive float."""
 
     kind: str                      # "interval" | "rectangle"
     bounds: tuple                  # (a, b) or (a, b, c, d)
@@ -64,7 +83,7 @@ class Domain:
             raise DomainError(f"unknown domain kind {self.kind!r}")
         if self.boundary not in (DIRICHLET, NEUMANN):
             raise DomainError(f"unknown boundary condition {self.boundary!r}")
-        b = tuple(float(v) for v in self.bounds)
+        b = tuple(_real_vector(self.bounds, "domain.bounds").tolist())
         object.__setattr__(self, "bounds", b)
         if self.kind == "interval":
             if len(b) != 2:
@@ -78,6 +97,12 @@ class Domain:
                 raise DomainError("rectangle requires b > a and d > c")
             if self.potential is not None:
                 raise DomainError("rectangle supports only zero potential")
+        for L in self.lengths:
+            # the lowest eigenvalue scale; a product, so an overflow reads inf, not an error
+            q = (np.pi / L) * (np.pi / L)
+            if not 0.0 < q < np.inf:
+                raise DomainError(f"domain.bounds give an axis of length {L!r}: "
+                                  f"(pi/L)^2 = {q!r} is outside the float range")
         if self.potential is not None:
             lo, hi = self.potential.nodes[0], self.potential.nodes[-1]
             if lo > b[0] + 1e-12 or hi < b[1] - 1e-12:
@@ -120,9 +145,8 @@ class Domain:
     def from_dict(cls, doc: dict) -> "Domain":
         pot = None
         if doc.get("potential") is not None:
-            pot = Potential(np.asarray(doc["potential"]["nodes"], dtype=float),
-                            np.asarray(doc["potential"]["values"], dtype=float))
-        return cls(kind=doc["kind"], bounds=tuple(doc["bounds"]),
+            pot = Potential(doc["potential"]["nodes"], doc["potential"]["values"])
+        return cls(kind=doc["kind"], bounds=doc["bounds"],
                    boundary=doc.get("boundary", DIRICHLET), potential=pot)
 
 

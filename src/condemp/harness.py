@@ -9,15 +9,13 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 import os
-import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .domains import DIRICHLET, NEUMANN, Domain
+from .domains import DIRICHLET, NEUMANN, Domain, DomainError, finite_real
 from .limits import LimitReport, compute_I, compute_I_neumann
 from .measures import GridMeasure, InitialDistribution
 from .mc import SimulationConfig, conditional_empirical_w2, simulate
@@ -78,7 +76,7 @@ class ExperimentConfig:
         # reads a key list holding an int of 2^63 or more as float64
         if not 0 <= self.seed < 2**63:
             raise ConfigError(f"seed must be in [0, 2^63), got {self.seed}")
-        if not (_real(self.tol) and self.tol > 0):
+        if not (finite_real(self.tol) and self.tol > 0):
             raise ConfigError(f"tol must be a finite positive number, got {self.tol!r}")
         self.tol = float(self.tol)
         if self.w2_method not in W2_METHODS:
@@ -112,7 +110,11 @@ class ExperimentConfig:
         present = {key: doc[key] for key in
                    ("modes", "tol", "w2_method", "grid_nodes", "seed", "out")
                    if key in doc}
-        return cls(domain=Domain.from_dict(doc["domain"]), nu_spec=doc.get("nu", {"kind": "mu"}),
+        try:
+            domain = Domain.from_dict(doc["domain"])
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
+        return cls(domain=domain, nu_spec=doc.get("nu", {"kind": "mu"}),
                    times=doc.get("times", [2.0, 4.0, 8.0, 16.0]), mc=mc, **present)
 
     @classmethod
@@ -128,17 +130,12 @@ class ExperimentConfig:
         return solve_sturm_liouville(self.domain, self.modes, max(8 * self.modes, 2000))
 
 
-def _real(v) -> bool:
-    """A finite real number, not a bool (nor a JSON integer beyond floats)."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-
-
 def _integer(v) -> bool:
-    return _real(v) and float(v).is_integer()
+    return finite_real(v) and float(v).is_integer()
 
 
 def _finite_numbers(v) -> bool:
-    return isinstance(v, (list, tuple)) and all(_real(x) for x in v)
+    return isinstance(v, (list, tuple)) and all(finite_real(x) for x in v)
 
 
 def _increasing_times(v) -> bool:
@@ -210,7 +207,7 @@ def _check_nu(spec, domain: Domain):
 def _check_mc(mc: dict):
     """Reject MC values that would fail only mid-run, or run and mislead."""
     for key in ("dt", "horizon"):
-        if key in mc and not (_real(mc[key]) and mc[key] > 0):
+        if key in mc and not (finite_real(mc[key]) and mc[key] > 0):
             raise ConfigError(f"mc.{key} must be finite and positive, got {mc[key]!r}")
     # with one island every bootstrap resample is the same island
     for key, least in (("n_paths", 1), ("n_bins", 1), ("islands", 2)):

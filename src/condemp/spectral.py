@@ -6,7 +6,8 @@ symmetrized finite-difference solver for intervals with a tabulated
 potential.  A basis bundles eigenvalues, eigenfunction samples on
 an interior Gauss-Legendre quadrature grid, quadrature weights representing
 the probability measure mu = e^V dx / Z, and per-mode sup-norm data for the
-ground-state ratio phi_m / phi_0.
+ground-state ratio phi_m / phi_0.  Closed-form bases sample their modes on
+first read only.
 
 Closed-form modes at arbitrary points come from one outer(k, pi u) table per
 axis.  Series on a uniform interval grid (`SpectralBasis.grid_series`) build
@@ -117,7 +118,8 @@ def mode_table(domain: Domain, M: int):
     """The M lowest tensor-product modes, ascending: eigenvalues and per-axis
     indices of shape (M, dim).  Index k on an axis of length L contributes
     (pi k / L)^2; Dirichlet axes start at k = 1, Neumann axes at k = 0.
-    Equal eigenvalues are ordered by their indices, first axis first."""
+    Equal eigenvalues are ordered by their indices, first axis first.  A
+    box whose next eigenvalue overflows cannot close: that raises."""
     if domain.potential is not None:
         raise BasisError("closed-form eigenvalues require zero potential")
     d = domain.dim
@@ -127,13 +129,17 @@ def mode_table(domain: Domain, M: int):
     while True:
         k = np.arange(lo, lo + n)
         idx = np.stack(np.meshgrid(*[k] * d, indexing="ij"), axis=-1).reshape(-1, d)
-        lam = np.sum((np.pi * idx / L) ** 2, axis=1)
+        with np.errstate(over="ignore"):        # an overflow is inf, checked below
+            lam = np.sum((np.pi * idx / L) ** 2, axis=1)
+            # the lowest mode outside the index box must lie above every mode kept
+            base = (np.pi * lo / L) ** 2
+            outside = np.min((np.pi * (lo + n) / L) ** 2 - base) + np.sum(base)
         order = np.lexsort([*idx.T[::-1], lam])[:M]
-        # the lowest mode outside the index box must lie above every mode kept
-        base = (np.pi * lo / L) ** 2
-        outside = np.min((np.pi * (lo + n) / L) ** 2 - base) + np.sum(base)
         if order.size == M and lam[order[-1]] < outside:
             return lam[order], idx[order]
+        if not np.isfinite(outside):
+            raise BasisError(f"the {M} lowest eigenvalues on axes of lengths "
+                             f"{domain.lengths} overflow the float range")
         n *= 2
 
 
@@ -185,6 +191,19 @@ def _tensor_modes(domain: Domain, idx: np.ndarray, x, ratio: bool) -> np.ndarray
         for ax, (lo, hi) in enumerate(domain.axes)])
 
 
+def _gram_residual(table: np.ndarray, weights: np.ndarray) -> float:
+    """max |G - I| for the Gram matrix G of a mode table under the weights."""
+    B = table * np.sqrt(weights)
+    G = B @ B.T      # one symmetric product: numpy takes the syrk path
+    return float(np.max(np.abs(G - np.eye(len(table)))))
+
+
+def _check_orthonormal(table: np.ndarray, weights: np.ndarray):
+    res = _gram_residual(table, weights)
+    if not res <= ORTHO_TOL:      # NaN fails too
+        raise BasisError(f"orthonormality residual {res:.3e} above {ORTHO_TOL}")
+
+
 def weyl_floor(gaps: np.ndarray, d: int) -> float:
     """Fitted kappa with gaps_m >= kappa m^(2/d) on the upper half window,
     with a 10% margin.  A single-mode basis has no tail to dominate: 1."""
@@ -202,7 +221,11 @@ class SpectralBasis:
 
     eigenfunctions has one row per mode; ground_ratio holds phi_m / phi_0 on
     the same grid.  weights represent mu (they sum to 1), mu_lebesgue is the
-    Lebesgue density of mu at the grid nodes.
+    Lebesgue density of mu at the grid nodes.  Numeric and loaded bases
+    store their mode table in samples, and `validate` checks its Gram
+    matrix.  A closed-form basis stores none: point evaluations, grid series
+    and transport equations never read it, and `eigenfunctions` tabulates
+    and checks it on first read.
     """
 
     domain: Domain
@@ -210,9 +233,9 @@ class SpectralBasis:
     grid: np.ndarray                 # (N,) in 1D, (N, 2) in 2D
     weights: np.ndarray
     mu_lebesgue: np.ndarray
-    eigenfunctions: np.ndarray       # (M, N)
     ratio_sups: np.ndarray
     analytic: bool = True
+    samples: np.ndarray | None = None    # (M, N) stored table, or None: closed form
 
     @property
     def M(self) -> int:
@@ -229,6 +252,18 @@ class SpectralBasis:
     @property
     def ground_ratio(self) -> np.ndarray:
         return self.eigenfunctions / self.eigenfunctions[0]
+
+    @cached_property
+    def eigenfunctions(self) -> np.ndarray:
+        """The (M, N) mode table on the grid: the stored samples, or the
+        closed-form modes tabulated once, read-only, after the orthonormality
+        check that `validate` runs on stored tables."""
+        if self.samples is not None:
+            return self.samples
+        table = _tensor_modes(self.domain, self.mode_indices, self.grid, ratio=False)
+        table.flags.writeable = False
+        _check_orthonormal(table, self.weights)
+        return table
 
     @cached_property
     def mode_indices(self) -> np.ndarray:
@@ -316,9 +351,10 @@ class SpectralBasis:
         coordinate u (`grid_series`), so D = sum_p beta_p sin(p pi u)/(p pi).
         Both sums at u + d come from one table of the phases exp(i p pi u),
         p = 1 .. P, built by `np.cumprod` in row chunks of PHASE_CHUNK
-        entries.  phi_0^2 is 1 - cos 2 pi u (Dirichlet) or 1 (Neumann), so
-        F_0(x + d) - F_0(x) = d - cos(pi (2 u + d)) sin(pi d)/pi or d, in
-        units of L.  Numeric bases integrate f mu from the mode table: D(x)
+        entries; each `at(x)` allocates that table once, and every chunk of
+        every residual call overwrites it.  phi_0^2 is 1 - cos 2 pi u
+        (Dirichlet) or 1 (Neumann), so F_0(x + d) - F_0(x) =
+        d - cos(pi (2 u + d)) sin(pi d)/pi or d, in units of L.  Numeric bases integrate f mu from the mode table: D(x)
         by Gauss rules between consecutive points, F_1(x + d) - F_1(x) by
         one on [x, x + d]."""
         if self.domain.kind != "interval":
@@ -340,6 +376,7 @@ class SpectralBasis:
 
         def at(x):
             u = (np.asarray(x, dtype=float) - a) / L
+            buf = np.empty((min(chunk, u.size), P), dtype=complex)     # one phase table
 
             def residual(d):
                 s = d / L
@@ -347,7 +384,8 @@ class SpectralBasis:
                 fD = np.empty((y.size, 2))              # f and D at y
                 for i in range(0, y.size, chunk):
                     z = np.exp(1j * np.pi * y[i:i + chunk])
-                    table = np.cumprod(np.broadcast_to(z[:, None], (z.size, P)), axis=1)
+                    table = np.cumprod(np.broadcast_to(z[:, None], (z.size, P)), axis=1,
+                                       out=buf[:z.size])
                     fD[i:i + chunk] = table.view(float) @ W
                 if dirichlet:
                     inc = s - np.cos(np.pi * (2 * u + s)) * np.sin(np.pi * s) / np.pi
@@ -455,9 +493,7 @@ class SpectralBasis:
         return float(np.dot(np.asarray(values) * self.ground_state**2, self.weights))
 
     def orthonormality_residual(self) -> float:
-        B = self.eigenfunctions * np.sqrt(self.weights)
-        G = B @ B.T      # one symmetric product: numpy takes the syrk path
-        return float(np.max(np.abs(G - np.eye(self.M))))
+        return _gram_residual(self.eigenfunctions, self.weights)
 
     def weyl_slope(self) -> float:
         """Log-log growth rate of (lambda_m - lambda_0) over m in [M/4, M)."""
@@ -472,13 +508,16 @@ class SpectralBasis:
             raise BasisError("eigenvalues must be finite")
         if np.any(np.diff(self.eigenvalues) < -1e-9 * max(1.0, self.eigenvalues[-1])):
             raise BasisError("eigenvalues not ascending")
-        if self.domain.boundary == DIRICHLET and np.any(self.ground_state <= 0):
-            raise BasisError("Dirichlet ground state not positive on the grid")
+        if self.domain.boundary == DIRICHLET:
+            # a closed-form ground state is row 0 of the table, without the table
+            ground = (self.eval_modes(self.grid, [0])[0] if self.samples is None
+                      else self.samples[0])
+            if np.any(ground <= 0):
+                raise BasisError("Dirichlet ground state not positive on the grid")
         if np.any(self.weights < 0):
             raise BasisError("quadrature weights must be nonnegative")
-        res = self.orthonormality_residual()
-        if not res <= ORTHO_TOL:      # NaN fails too
-            raise BasisError(f"orthonormality residual {res:.3e} above {ORTHO_TOL}")
+        if self.samples is not None:
+            _check_orthonormal(self.samples, self.weights)
         total = float(np.sum(self.weights))
         if not abs(total - 1.0) <= 1e-12:
             raise BasisError(f"quadrature mass {total} differs from 1")
@@ -513,9 +552,9 @@ class SpectralBasis:
             grid=np.asarray(doc["grid"], dtype=float),
             weights=np.asarray(doc["weights"], dtype=float),
             mu_lebesgue=np.asarray(doc["mu_lebesgue"], dtype=float),
-            eigenfunctions=np.asarray(doc["eigenfunctions"], dtype=float),
             ratio_sups=np.asarray(doc["ratio_sups"], dtype=float),
             analytic=bool(doc["analytic"]),
+            samples=np.asarray(doc["eigenfunctions"], dtype=float),
         )
         # /1 files also carry sup_norms, which nothing reads; files from before
         # the indices were derived carry them too: they must agree
@@ -535,9 +574,12 @@ class SpectralBasis:
 
 def build_analytic_basis(domain: Domain, M: int, n_quad: int | None = None) -> SpectralBasis:
     """Closed-form tensor-product basis on an interval or rectangle with zero
-    potential, sampled on the product of n_quad Gauss-Legendre nodes per axis
+    potential, on the product of n_quad Gauss-Legendre nodes per axis
     (default 4 M + 64 on an interval, max(2 k + 24, 32) on a rectangle whose
-    largest axis index is k).  Ratio sups are products of the per-axis ones."""
+    largest axis index is k).  Ratio sups are products of the per-axis ones.
+    The (M, N) mode table is not built here: `eigenfunctions` tabulates it
+    on first read and checks its Gram matrix then, so an n_quad too coarse
+    for M raises at that read, not at the build."""
     if M < 1:
         raise BasisError("need at least one mode")
     if domain.potential is not None:
@@ -556,10 +598,8 @@ def build_analytic_basis(domain: Domain, M: int, n_quad: int | None = None) -> S
     w /= w.sum()
     ratio_axis = (idx.astype(float) if domain.boundary == DIRICHLET
                   else np.where(idx > 0, np.sqrt(2.0), 1.0))
-    basis = SpectralBasis(
-        domain=domain, eigenvalues=lam, grid=grid, weights=w, mu_lebesgue=mu_leb,
-        eigenfunctions=_tensor_modes(domain, idx, grid, ratio=False),
-        ratio_sups=np.prod(ratio_axis, axis=1))
+    basis = SpectralBasis(domain=domain, eigenvalues=lam, grid=grid, weights=w,
+                          mu_lebesgue=mu_leb, ratio_sups=np.prod(ratio_axis, axis=1))
     return basis.validate()
 
 
@@ -660,7 +700,7 @@ def solve_sturm_liouville(domain: Domain, M: int, n_grid: int) -> SpectralBasis:
 
     basis = SpectralBasis(
         domain=domain, eigenvalues=lam, grid=xg, weights=w, mu_lebesgue=mu_leb,
-        eigenfunctions=phi, ratio_sups=np.max(np.abs(phi / phi[0]), axis=1), analytic=False)
+        ratio_sups=np.max(np.abs(phi / phi[0]), axis=1), analytic=False, samples=phi)
     return basis.validate()
 
 

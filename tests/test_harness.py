@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from condemp import (build_analytic_basis, harness, project, solve_sturm_liouville,
+from condemp import (build_analytic_basis, harness, project, solve_sturm_liouville, spectral,
                      unit_interval)
 from condemp.cli import main as cli_main
 from condemp.domains import NEUMANN, Potential
@@ -117,6 +117,10 @@ def _density_nu(nodes, values):
     return {"nu": {"kind": "density_mu", "nodes": nodes, "values": values}}
 
 
+def _bounds(*bounds):
+    return {"domain": dict(BASE_CONFIG["domain"], bounds=list(bounds))}
+
+
 BAD_AT_LOAD = {
     "mc.dt-0": ({"mc": {"dt": 0}}, "mc.dt must be finite and positive"),
     "mc.dt-inf": ({"mc": {"dt": float("inf")}}, "mc.dt must be finite and positive"),
@@ -204,6 +208,19 @@ BAD_AT_LOAD = {
     "mc.n_paths-huge": ({"mc": {"n_paths": 10**400}},
                         "mc.n_paths must be an integer of at least 1"),
     "mc.horizon-huge": ({"mc": {"horizon": 10**400}}, "mc.horizon must be finite and positive"),
+    # (pi/L)^2 of 0 or inf, and bounds read by float(): limit grew its mode
+    # index box until killed, ran as [0, 1], or raised OverflowError
+    "domain.bounds-1e308": (_bounds(0, 1e308), "domain.bounds give an axis of length 1e\\+308"),
+    "domain.bounds-inf": (_bounds(0, float("inf")), "domain.bounds must be a 1D list of finite"),
+    "domain.bounds-inf-length": (_bounds(-1e308, 1e308),
+                                 "domain.bounds give an axis of length inf: \\(pi/L\\)\\^2 = 0.0"),
+    "domain.bounds-tiny": (_bounds(0, 1e-200), "domain.bounds give an axis of length 1e-200"),
+    "domain.bounds-bool": (_bounds(0, True), "domain.bounds must be a 1D list of finite"),
+    "domain.bounds-str": (_bounds("0", 1), "domain.bounds must be a 1D list of finite"),
+    "domain.bounds-huge": (_bounds(0, 10**400), "domain.bounds must be a 1D list of finite"),
+    "domain.potential-huge": ({"domain": dict(DRIFT_INTERVAL, potential={
+        "nodes": DRIFT_INTERVAL["potential"]["nodes"],
+        "values": [10**400] * 17})}, "domain.potential.values must be a 1D list of finite"),
 }
 
 
@@ -439,6 +456,29 @@ def test_reflecting_drift_start_at_mu_converges(tmp_path, nu):
         rows = json.load(fh)["rows"]
     assert [r["t"] for r in rows] == [2.0, 4.0]
     assert all(r["w2"] ** 2 <= 1e-18 for r in rows)
+
+
+def test_reflecting_routes_build_no_mode_table(monkeypatch):
+    # every reflecting route reads closed-form modes at points, through the
+    # cosine fold or the transport equation: the M x N Gauss-grid table is
+    # never tabulated
+    shapes, bases = [], []
+    tensor_modes, build = spectral._tensor_modes, ExperimentConfig.build_basis
+
+    def recording(*args, **kwargs):
+        table = tensor_modes(*args, **kwargs)
+        shapes.append(table.shape)
+        return table
+
+    monkeypatch.setattr(spectral, "_tensor_modes", recording)
+    monkeypatch.setattr(ExperimentConfig, "build_basis",
+                        lambda cfg: bases.append(build(cfg)) or bases[-1])
+    with open(os.path.join(CONFIGS, "neumann_delta0.json")) as fh:
+        doc = dict(json.load(fh), out=None)
+    for method in harness.W2_METHODS:
+        run_convergence(ExperimentConfig.from_dict(dict(doc, w2_method=method)))
+    assert len(bases) == 3 and not any("eigenfunctions" in vars(b) for b in bases)
+    assert shapes and all(1 in shape for shape in shapes), set(shapes)
 
 
 def test_killed_lower_bound_reads_the_upper_bounds_potential(monkeypatch):

@@ -8,8 +8,9 @@ from condemp import (build_analytic_basis, mu_coefficients, project,
                      unit_interval)
 from condemp.domains import NEUMANN
 from condemp.measures import GridMeasure, InitialDistribution
-from condemp.mc import (BLOCK, PathEnsembleSummary, SimulationConfig, SimulationError,
-                        _noise_floor, _rng_for, conditional_empirical_w2, simulate)
+from condemp.mc import (BLOCK, EMPIRICAL_QUANTILES, PathEnsembleSummary, SimulationConfig,
+                        SimulationError, _noise_floor, _rng_for, conditional_empirical_w2,
+                        simulate)
 from condemp.semigroup import survival_probability
 from condemp.transport import w1_grid_1d, w2_quantile_1d
 
@@ -187,7 +188,9 @@ def test_direct_noise_floor_counts_every_survivor():
         res, se = conditional_empirical_w2(summary, reference, n_bootstrap=3)
         floors.append(res.details["noise_floor"])
         ses.append(se)
-        raw_sq = res.details["w2_raw"] ** 2
+        # the raw W2^2 the code subtracts from: w2_raw**2 need not round back to it
+        raw_sq = w2_quantile_1d(summary.occupation_measure(), reference,
+                                n_quantiles=EMPIRICAL_QUANTILES).w2_squared
         assert res.w2 == np.sqrt(max(raw_sq - floors[-1], 0.0))
     assert floors[0] > 0.0
     assert floors[1] == pytest.approx(floors[0] / 4, rel=1e-12)

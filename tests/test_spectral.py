@@ -12,7 +12,8 @@ from condemp.domains import DIRICHLET, NEUMANN, Domain, DomainError, Potential, 
 from condemp.measures import InitialDistribution
 from condemp.semigroup import conditional_density
 from condemp.spectral import (BasisError, ProjectionError, SpectralBasis, _axis_factors,
-                              _legendre_rule, cosine_series, gauss_legendre, mode_table)
+                              _legendre_rule, _tensor_modes, cosine_series, gauss_legendre,
+                              mode_table)
 
 PI2 = np.pi**2
 EPS = np.finfo(float).eps
@@ -288,6 +289,54 @@ def test_mode_table_thin_rectangle():
     lam = np.sort((PI2 * (i**2 + 100.0 * j**2)).ravel())[:24]
     np.testing.assert_allclose(basis.eigenvalues, lam, rtol=1e-14)
     assert basis.mode_indices[:, 0].max() == 18
+
+
+def test_mode_table_that_overflows_raises():
+    # pi^2 / L^2 is 9.9e306 at L = 1e-153, and the fifth index overflows:
+    # the box that should hold 8 modes grew until memory ran out
+    with pytest.raises(BasisError, match="8 lowest eigenvalues .* overflow the float range"):
+        mode_table(Domain("interval", (0.0, 1e-153)), 8)
+    assert np.isfinite(mode_table(Domain("interval", (0.0, 1e-153)), 4)[0]).all()
+
+
+def test_potential_tables_are_finite_reals():
+    nodes = np.linspace(0.0, 1.0, 8)
+    for bad in ([True] + [0.0] * 7, [0.0] * 7 + [10**400], np.full(8, np.nan),
+                np.zeros(8, dtype=bool), np.zeros((2, 4))):
+        with pytest.raises(DomainError, match="domain.potential.values must be a 1D list"):
+            Potential(nodes, bad)
+    with pytest.raises(DomainError, match="domain.potential.nodes must be a 1D list"):
+        Potential(["0"] + nodes[1:].tolist(), np.zeros(8))
+
+
+CLOSED_FORM = {"dirichlet": lambda: unit_interval(), "neumann": lambda: unit_interval(NEUMANN),
+               "rectangle": lambda: rectangle(0.0, 1.0, 0.0, 0.5)}
+
+
+@pytest.mark.parametrize("domain", list(CLOSED_FORM))
+def test_closed_form_table_is_built_on_first_read(domain):
+    # the build stores no table and validate does not force one; the first
+    # read tabulates the modes as the build did, read-only, once
+    basis = build_analytic_basis(CLOSED_FORM[domain](), 24)
+    assert basis.samples is None and "eigenfunctions" not in vars(basis)
+    table = basis.eigenfunctions
+    expected = _tensor_modes(basis.domain, basis.mode_indices, basis.grid, ratio=False)
+    assert np.array_equal(table, expected)
+    assert not table.flags.writeable
+    assert basis.eigenfunctions is table
+    assert np.array_equal(basis.eval_modes(basis.grid, [0])[0], table[0])
+
+
+def test_too_coarse_closed_form_rule_raises_on_first_table_read():
+    # 40 Gauss points cannot integrate the products of 50 sines: the build
+    # stands, and every read derived from the table raises
+    basis = build_analytic_basis(unit_interval(), 50, n_quad=40)
+    reads = (lambda: basis.eigenfunctions, lambda: project(InitialDistribution.from_mu(), basis),
+             lambda: mu_coefficients(basis), basis.orthonormality_residual)
+    for read in reads:
+        with pytest.raises(BasisError, match="orthonormality residual 4.644e-01 above"):
+            read()
+    assert "eigenfunctions" not in vars(basis)
 
 
 def test_weyl_slope_interval(dirichlet_basis_64, neumann_basis_64):

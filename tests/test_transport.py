@@ -181,6 +181,33 @@ def test_displacement_refuses_a_closed_form_dirichlet_vector():
         harness.spectral_w2(basis, c)
 
 
+@pytest.mark.parametrize("case", ["convergence_mu", "neumann_delta0"])
+def test_transport_equation_reuses_one_phase_table(monkeypatch, case):
+    # each at(x) allocates one phase table and every chunk of every residual
+    # call overwrites it: bitwise what a fresh np.cumprod table per chunk
+    # gives, over five chunks of 5 rows and a partial one of 3
+    basis, (f, *_) = _fluctuations(case)
+    beta = basis._cosine_coefficients(f)
+    monkeypatch.setattr(spectral, "PHASE_CHUNK", 5 * int(np.flatnonzero(beta)[-1]))
+    x = np.linspace(0.01, 0.99, 28)
+    displacements = (np.zeros_like(x), 1e-3 * np.sin(7.0 * x))
+    _, residual = basis.transport_equation(f)(x)
+    buffered = [residual(d) for d in displacements]
+
+    tables, cumprod = [], np.cumprod
+
+    def fresh(a, axis, out):
+        tables.append(out)
+        return cumprod(a, axis=axis)
+
+    monkeypatch.setattr(np, "cumprod", fresh)
+    _, residual = basis.transport_equation(f)(x)
+    for got, (g, rho) in zip(buffered, (residual(d) for d in displacements)):
+        assert np.array_equal(got[0], g) and np.array_equal(got[1], rho)
+    assert [t.shape[0] for t in tables] == [5, 5, 5, 5, 5, 3] * 2
+    assert all(np.shares_memory(t, tables[0]) for t in tables)
+
+
 def test_displacement_refuses_a_signed_density():
     # 1.5 phi_1^2 - 0.5 phi_0^2 has zero mass but is negative at the midpoint
     basis = build_analytic_basis(unit_interval(), 8)
