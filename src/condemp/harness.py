@@ -22,9 +22,9 @@ from .mc import SimulationConfig, conditional_empirical_w2, simulate
 from .semigroup import (ConditionalDensity, conditional_density, mean_empirical_density,
                         mean_occupation_coefficients, survival_probability)
 from .semigroup import rho_tilde  # noqa: F401  (perfbench/spans.py times this name)
-from .spectral import (SpectralBasis, analytic_eigenvalues, build_analytic_basis,
-                       gauss_legendre, mu_coefficients, nu_l2_budget, project,
-                       solve_sturm_liouville)
+from .spectral import (ProjectionError, SpectralBasis, build_analytic_basis, mu_coefficients,
+                       mu_rule, nu_l2_budget, project, solve_sturm_liouville,
+                       validate_density)
 from .transport import (atomization_error, h_minus1_upper_bound,
                         kantorovich_dual_lower, w1_grid_1d, w2_displacement_1d,
                         w2_entropic, w2_exact_discrete)
@@ -90,7 +90,7 @@ class ExperimentConfig:
             raise ConfigError("times must be a nonempty list of positive times (finite real "
                               f"numbers, strictly increasing), got {self.times!r}")
         self.times = [float(t) for t in self.times]
-        _check_nu(self.nu_spec, self.domain)
+        _check_nu(self.nu_spec, self.domain, self.modes)
         _check_mc(self.mc)
 
     @classmethod
@@ -152,10 +152,11 @@ def _closed(doc, allowed: set, what: str):
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
 
 
-def _check_nu(spec, domain: Domain):
+def _check_nu(spec, domain: Domain, modes: int):
     """Reject starts that would fail only mid-run, or run on an extrapolated
     density: rectangles take mu, mu0 and point; a tabulated density is
-    interpolated on nodes that cover the interval."""
+    interpolated on nodes that cover the interval, and has mass 1 on the
+    rule of the basis of `modes` modes."""
     kind = spec.get("kind", "mu") if isinstance(spec, dict) else None
     if kind not in _NU_FIELDS:
         raise ConfigError(f"unknown nu kind {kind!r}; choose from {list(_NU_FIELDS)}")
@@ -185,23 +186,22 @@ def _check_nu(spec, domain: Domain):
             and len(nodes) == len(values) >= 2):
         raise ConfigError("nu.nodes and nu.values must be lists of finite numbers "
                           "of one length, at least 2")
-    # spectral._validate_density's threshold; PCHIP does not undershoot its data
+    # validate_density's threshold; PCHIP does not undershoot its data
     if min(values) < -1e-12:
         raise ConfigError(f"nu.values must be nonnegative (a density against mu), "
                           f"got {min(values)!r}")
     a, b = domain.bounds
     if any(n2 <= n1 for n1, n2 in zip(nodes, nodes[1:])) or nodes[0] > a or nodes[-1] < b:
         raise ConfigError(f"nu.nodes must be strictly increasing and cover [{a:g}, {b:g}]")
-    # spectral._validate_density's mass test: the PCHIP table against mu's
-    # density e^V/Z, by 8-point Gauss rules on pieces split at every node
-    # (exact for V = 0)
-    edges = np.union1d(np.linspace(a, b, 65), np.clip(nodes, a, b))
-    gx, gw = gauss_legendre(8, 0.0, 1.0)
-    x = (edges[:-1, None] + np.diff(edges)[:, None] * gx).ravel()
-    w = (np.diff(edges)[:, None] * gw).ravel() * np.exp(domain.potential_values(x))
-    mass = float(np.dot(w, PchipInterpolator(nodes, values)(x)) / w.sum())
-    if not abs(mass - 1.0) <= 1e-8:
-        raise ConfigError(f"nu.values must have mass 1 against mu (within 1e-8), got {mass!r}")
+    # the test `project` applies, on the rule the basis will use
+    x, w, _ = mu_rule(domain, modes)
+    h = PchipInterpolator(nodes, values)(x)
+    try:
+        validate_density(h, w)
+    except ProjectionError as exc:
+        raise ConfigError(f"nu.values must have mass 1 against mu (within 1e-8), got "
+                          f"{float(np.dot(h, w)):.12g} on the {x.size}-node Gauss rule "
+                          f"of the basis for modes {modes}") from exc
 
 
 def _check_mc(mc: dict):
@@ -226,9 +226,8 @@ def resolve_nu(spec: dict, basis: SpectralBasis) -> InitialDistribution:
     if kind == "mu":
         return InitialDistribution.from_mu()
     if kind == "mu0":
-        phi0sq = basis.ground_state**2
-        return InitialDistribution(kind="density_mu", density=phi0sq.copy(),
-                                   nodes=basis.grid.copy(), name="mu0")
+        return InitialDistribution.from_density_mu(
+            lambda x: _phi0(basis, x) ** 2, name="mu0")
     if kind == "point":
         return InitialDistribution.from_point(spec["x"])
     if kind == "density_mu":
@@ -377,25 +376,15 @@ class ConvergenceReport:
 def limit_report(config: ExperimentConfig, basis: SpectralBasis) -> LimitReport:
     """The limit constant I of a config with its tail bound.
 
-    Killed case: the eigenseries with the nu L2 budget where nu has a density.
-    Reflecting case: a point start on an interval without potential uses its
-    closed-form coefficients up to max(modes, 2000); any other start uses the
-    projection onto the basis.
+    Both cases sum over the basis' modes against the config's tol; the
+    killed case bounds its tail with the nu L2 budget where nu has a density.
     """
     nu = resolve_nu(config.nu_spec, basis)
     dom = config.domain
     if dom.boundary == DIRICHLET:
         return compute_I(project(nu, basis), mu_coefficients(basis), basis.eigenvalues,
                          tol=config.tol, d=dom.dim, nu_l2_bound=nu_l2_budget(nu, basis))
-    tol = max(config.tol, 1e-9)
-    if nu.kind == "point" and dom.potential is None and dom.kind == "interval":
-        M_I = max(config.modes, 2000)
-        a, b = dom.bounds
-        u = (float(np.ravel(nu.point)[0]) - a) / (b - a)
-        nu_c = np.sqrt(2.0) * np.cos(np.arange(M_I) * np.pi * u)
-        nu_c[0] = 1.0
-        return compute_I_neumann(nu_c, analytic_eigenvalues(dom, M_I), tol=tol)
-    return compute_I_neumann(project(nu, basis), basis.eigenvalues, tol=tol)
+    return compute_I_neumann(project(nu, basis), basis.eigenvalues, tol=config.tol)
 
 
 def run_convergence(config: ExperimentConfig) -> ConvergenceReport:

@@ -149,7 +149,7 @@ def compute_I_neumann(nu_coeffs, eigenvalues, tol: float = 1e-9) -> LimitReport:
         inputs={"nu": nu_c.tolist(), "eigenvalues": lam.tolist()})
     if report.tail_bound > tol:
         raise LimitError(
-            f"tail bound {report.tail_bound:.3e} above tolerance {tol:.3e}")
+            f"tail bound {report.tail_bound:.3e} above tolerance {tol:.3e}; raise the mode count")
     return report
 
 

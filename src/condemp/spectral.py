@@ -40,10 +40,13 @@ __all__ = [
     "build_analytic_basis",
     "solve_sturm_liouville",
     "project",
+    "validate_density",
     "mu_coefficients",
     "nu_l2_budget",
     "weyl_floor",
     "gauss_legendre",
+    "gauss_panels",
+    "mu_rule",
     "analytic_eigenvalues",
     "mode_table",
     "cosine_series",
@@ -69,6 +72,36 @@ def gauss_legendre(n: int, a: float, b: float):
     """Gauss-Legendre nodes (strictly interior to (a, b)) and weights."""
     x, w = _legendre_rule(n)
     return 0.5 * (b - a) * (x + 1.0) + a, 0.5 * (b - a) * w
+
+
+def gauss_panels(lo, hi, order: int):
+    """The composite order-point Gauss-Legendre rule on the panels
+    [lo_i, hi_i]: nodes and weights, panel after panel."""
+    gx, gw = _legendre_rule(order)
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi))[:, None] + half[:, None] * gx
+    return x.ravel(), (half[:, None] * gw).ravel()
+
+
+def mu_rule(domain: Domain, M: int, n_quad: int | None = None):
+    """The product Gauss-Legendre rule for mu on the domain's axes, n_quad
+    nodes per axis (default 4 M + 64): nodes, (N,) or (N, dim), weights
+    summing to 1, and the Lebesgue density of mu at the nodes, 1/|R| or
+    e^V/Z with Z by this rule."""
+    n = 4 * M + 64 if n_quad is None else n_quad
+    nodes, wl = zip(*[gauss_legendre(n, lo, hi) for lo, hi in domain.axes])
+    grid = nodes[0]
+    if domain.dim > 1:
+        grid = np.stack(np.meshgrid(*nodes, indexing="ij"), axis=-1).reshape(-1, domain.dim)
+    wl = reduce(lambda p, q: np.outer(p, q).ravel(), wl)
+    if domain.potential is None:
+        mu_leb = np.full(wl.size, 1.0 / np.prod(domain.lengths))
+    else:
+        mu_leb = np.exp(domain.potential_values(grid))
+        mu_leb /= float(np.dot(wl, mu_leb))
+    w = wl * mu_leb
+    w /= w.sum()
+    return grid, w, mu_leb
 
 
 @lru_cache(maxsize=16)
@@ -403,7 +436,7 @@ class SpectralBasis:
         with R_f, R_0 the integrals of f mu and phi_0^2 mu from a, summed
         over the gaps between consecutive points and on to b."""
         a, b = self.domain.bounds
-        gx, gw = _legendre_rule(PANEL_ORDER)
+        gw = _legendre_rule(PANEL_ORDER)[1]
 
         def densities(y):       # f mu and phi_0^2 mu
             phi = self.eval_modes(y)
@@ -412,9 +445,8 @@ class SpectralBasis:
             return np.stack([f * mu, phi[0] ** 2 * mu])
 
         def integral(lo, hi):   # of both densities over each [lo_i, hi_i]
-            half = 0.5 * (hi - lo)
-            pts = (0.5 * (hi + lo))[:, None] + half[:, None] * gx
-            return densities(pts.ravel()).reshape(2, *pts.shape) @ gw * half
+            pts = gauss_panels(lo, hi, PANEL_ORDER)[0]
+            return densities(pts).reshape(2, lo.size, PANEL_ORDER) @ gw * (0.5 * (hi - lo))
 
         def at(x):
             x = np.asarray(x, dtype=float)
@@ -574,9 +606,9 @@ class SpectralBasis:
 
 def build_analytic_basis(domain: Domain, M: int, n_quad: int | None = None) -> SpectralBasis:
     """Closed-form tensor-product basis on an interval or rectangle with zero
-    potential, on the product of n_quad Gauss-Legendre nodes per axis
-    (default 4 M + 64 on an interval, max(2 k + 24, 32) on a rectangle whose
-    largest axis index is k).  Ratio sups are products of the per-axis ones.
+    potential, on `mu_rule` with n_quad nodes per axis (default 4 M + 64 on
+    an interval, max(2 k + 24, 32) on a rectangle whose largest axis index
+    is k).  Ratio sups are products of the per-axis ones.
     The (M, N) mode table is not built here: `eigenfunctions` tabulates it
     on first read and checks its Gram matrix then, so an n_quad too coarse
     for M raises at that read, not at the build."""
@@ -585,17 +617,9 @@ def build_analytic_basis(domain: Domain, M: int, n_quad: int | None = None) -> S
     if domain.potential is not None:
         raise BasisError("analytic basis requires zero potential; use solve_sturm_liouville")
     lam, idx = mode_table(domain, M)
-    d = domain.dim
-    if n_quad is None:
-        n_quad = 4 * M + 64 if d == 1 else max(2 * int(idx.max()) + 24, 32)
-    nodes, wl = zip(*[gauss_legendre(n_quad, lo, hi) for lo, hi in domain.axes])
-    grid = nodes[0]
-    if d > 1:
-        grid = np.stack(np.meshgrid(*nodes, indexing="ij"), axis=-1).reshape(-1, d)
-    wl = reduce(lambda p, q: np.outer(p, q).ravel(), wl)
-    mu_leb = np.full(wl.size, 1.0 / np.prod(domain.lengths))
-    w = wl * mu_leb
-    w /= w.sum()
+    if n_quad is None and domain.dim > 1:
+        n_quad = max(2 * int(idx.max()) + 24, 32)
+    grid, w, mu_leb = mu_rule(domain, M, n_quad)
     ratio_axis = (idx.astype(float) if domain.boundary == DIRICHLET
                   else np.where(idx > 0, np.sqrt(2.0), 1.0))
     basis = SpectralBasis(domain=domain, eigenvalues=lam, grid=grid, weights=w,
@@ -672,15 +696,7 @@ def solve_sturm_liouville(domain: Domain, M: int, n_grid: int) -> SpectralBasis:
     else:
         xs, fs = nodes, f
 
-    n_quad = 4 * M + 64
-    xg, wl = gauss_legendre(n_quad, a, b)
-    V = domain.potential_values(xg)
-    mu_leb = np.exp(V)
-    Z = float(np.dot(wl, mu_leb))
-    mu_leb = mu_leb / Z
-    w = wl * mu_leb
-    w /= w.sum()
-
+    xg, w, mu_leb = mu_rule(domain, M)
     phi = np.ascontiguousarray(CubicSpline(xs, fs)(xg).T)
 
     # exact orthonormality w.r.t. the quadrature inner product
@@ -733,17 +749,19 @@ def project(measure: InitialDistribution, basis: SpectralBasis) -> np.ndarray:
 
     if kind == "density_mu":
         h = measure.density_on(basis.grid)
-        _validate_density(h, basis.weights)
+        validate_density(h, basis.weights)
         return basis.eigenfunctions @ (h * basis.weights)
 
     raise ProjectionError(f"unknown initial distribution kind {kind!r}")
 
 
-def _validate_density(h: np.ndarray, weights: np.ndarray):
+def validate_density(h: np.ndarray, weights: np.ndarray):
+    """Raise unless the density h against mu, sampled on a mu rule, is
+    nonnegative and has mass 1 on that rule, within 1e-8."""
     if np.min(h) < -1e-12:
         raise ProjectionError(f"density w.r.t. mu has negative values (min {np.min(h):.3e})")
     mass = float(np.dot(h, weights))
-    if abs(mass - 1.0) > 1e-8:
+    if not abs(mass - 1.0) <= 1e-8:      # NaN fails too
         raise ProjectionError(f"density w.r.t. mu mass {mass} differs from 1 beyond 1e-8")
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .measures import GridMeasure
-from .spectral import PANEL_ORDER, SpectralBasis, _legendre_rule
+from .spectral import PANEL_ORDER, SpectralBasis, gauss_panels
 
 __all__ = [
     "TransportError",
@@ -104,10 +104,7 @@ def _quantile_grid(n_quantiles: int):
     n_mid = max(8, n_quantiles // per_panel - 2 * n_geo)
     edges = np.unique(np.concatenate(
         [[0.0], geo, np.linspace(geo[-1], 1.0 - geo[-1], n_mid), 1.0 - geo[::-1], [1.0]]))
-    gx, gw = _legendre_rule(per_panel)
-    a, b = edges[:-1], edges[1:]
-    u = (0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * gx[None, :]).ravel()
-    w = (0.5 * (b - a)[:, None] * gw[None, :]).ravel()
+    u, w = gauss_panels(edges[:-1], edges[1:], per_panel)
     u.flags.writeable = w.flags.writeable = False     # built once per size, shared
     return u, w
 
@@ -160,7 +157,8 @@ def w2_displacement_1d(equation, bounds, phases: int) -> TransportResult:
     vals, steps = [], []
     rounding = 2.0 * np.finfo(float).eps * (b - a)
     for n in (panels, panels // 2):
-        x, w = _panel_rule(a, b, n)
+        edges = np.linspace(a, b, n + 1)
+        x, w = gauss_panels(edges[:-1], edges[1:], PANEL_ORDER)
         rho0, residual = equation(x)
         w *= rho0
         d = np.zeros_like(x)
@@ -182,15 +180,6 @@ def w2_displacement_1d(equation, bounds, phases: int) -> TransportResult:
     err = abs(val - vals[1]) + sum(steps) + 1e-15 * val
     return TransportResult(w2=float(np.sqrt(val)), method="quantile1d", error_estimate=err,
                            w2_squared=val, details={"nodes": PANEL_ORDER * panels})
-
-
-def _panel_rule(a: float, b: float, panels: int):
-    """Composite PANEL_ORDER-point Gauss rule on uniform panels of [a, b]."""
-    gx, gw = _legendre_rule(PANEL_ORDER)
-    edges = np.linspace(a, b, panels + 1)
-    half = 0.5 * np.diff(edges)
-    x = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * gx
-    return x.ravel(), (half[:, None] * gw).ravel()
 
 
 def w1_grid_1d(m1: GridMeasure, m2: GridMeasure) -> float:
@@ -375,9 +364,12 @@ def _ot_eps(a, b, C, eps_schedule, final_drift, symmetric=False):
     """Sharp transport cost along an epsilon schedule with warm starts.
 
     Returns the cost at the final level, the cost at the penultimate level
-    (for a bias estimate), the dual value, the worst marginal violation, the
-    plan, and the iteration count.  The earlier levels only warm-start the
-    last one, which must reach `final_drift` within FINAL_SWEEPS sweeps.
+    (for a bias estimate), the duality gap, the worst marginal violation and
+    the iteration count.  The earlier levels only warm-start the last one,
+    which must reach `final_drift` within FINAL_SWEEPS sweeps.  The plan is
+    P = exp((f + g - C)/eps) a b, so eps KL(P | a b) = <f, P1> + <g, P^T 1>
+    - cost, and the gap cost + eps KL - <f, a> - <g, b> is <f, P1 - a> +
+    <g, P^T 1 - b>, from the marginal residuals.
     """
     with np.errstate(divide="ignore"):      # a zero weight is log 0 = -inf
         loga = np.log(a)
@@ -402,10 +394,10 @@ def _ot_eps(a, b, C, eps_schedule, final_drift, symmetric=False):
     logP = (f[:, None] + g[None, :] - C) / eps + loga[:, None] + logb[None, :]
     P = np.exp(logP)
     cost = float(np.sum(P * C))
-    row_err = float(np.max(np.abs(P.sum(axis=1) - a)))
-    col_err = float(np.max(np.abs(P.sum(axis=0) - b)))
-    dual = float(np.dot(f, a) + np.dot(g, b))
-    return cost, cost_prev, dual, max(row_err, col_err), P, iters
+    row, col = P.sum(axis=1) - a, P.sum(axis=0) - b
+    gap = abs(float(np.dot(f, row) + np.dot(g, col)))
+    viol = float(max(np.max(np.abs(row)), np.max(np.abs(col))))
+    return cost, cost_prev, gap, viol, iters
 
 
 def w2_entropic(m1, m2, eps_target: float = 1e-3, atoms: int = 384) -> TransportResult:
@@ -427,21 +419,16 @@ def w2_entropic(m1, m2, eps_target: float = 1e-3, atoms: int = 384) -> Transport
     n_levels = max(3, int(np.ceil(np.log2(diam2 / 4 / eps_target))) + 1)
     eps_schedule = np.geomspace(diam2 / 4, eps_target, n_levels)
     final_drift = 1e-5 * float(eps_schedule[-1])
-    cost_ab, prev_ab, dual_ab, viol_ab, P, it_ab = _ot_eps(
-        a, b, Cxy, eps_schedule, final_drift)
+    cost_ab, prev_ab, gap, viol_ab, it_ab = _ot_eps(a, b, Cxy, eps_schedule, final_drift)
     Cxx = _sq_cost(x, x)
     Cyy = _sq_cost(y, y)
-    cost_aa, prev_aa, dual_aa, viol_aa, _, _ = _ot_eps(
-        a, a, Cxx, eps_schedule, final_drift, symmetric=True)
-    cost_bb, prev_bb, dual_bb, viol_bb, _, _ = _ot_eps(
-        b, b, Cyy, eps_schedule, final_drift, symmetric=True)
+    cost_aa, prev_aa, _, viol_aa, _ = _ot_eps(a, a, Cxx, eps_schedule, final_drift,
+                                              symmetric=True)
+    cost_bb, prev_bb, _, viol_bb, _ = _ot_eps(b, b, Cyy, eps_schedule, final_drift,
+                                              symmetric=True)
     eps_f = float(eps_schedule[-1])
     val = cost_ab - 0.5 * (cost_aa + cost_bb)
     bias_est = abs(val - (prev_ab - 0.5 * (prev_aa + prev_bb)))   # n_levels >= 3
-    ab = np.outer(a, b)
-    ratio = np.divide(P, ab, out=np.ones_like(P), where=ab > 0)    # 0 log 0 = 0
-    kl = float(np.sum(P * np.log(np.maximum(ratio, 1e-300))))
-    gap = abs(cost_ab + eps_f * kl - dual_ab)
     viol = max(viol_ab, viol_aa, viol_bb)
     err = 2.0 * bias_est + gap + viol * diam2 + atomization_error(val, max(h1, h2))
     val = max(val, 0.0)

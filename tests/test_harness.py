@@ -7,15 +7,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from condemp import (build_analytic_basis, harness, project, solve_sturm_liouville, spectral,
                      unit_interval)
 from condemp.cli import main as cli_main
-from condemp.domains import NEUMANN, Potential
+from condemp.domains import NEUMANN, Domain, Potential
 from condemp.harness import (ConfigError, ExperimentConfig, limit_report,
                              mean_occupation_measure, mu0_measure, run_convergence,
                              run_mc_crosscheck, run_sandwich, run_w2, spectral_measure)
-from condemp.limits import LimitError
+from condemp.limits import LimitError, compute_I_neumann
 from condemp.measures import GridMeasure, InitialDistribution
 from condemp.semigroup import conditional_density, mean_empirical_density
 
@@ -325,28 +328,54 @@ def test_mc_window_rejected_before_the_basis(tmp_path, capsys, monkeypatch, mc, 
     assert run_cli("limit", "--config", str(path), "--out", out) == 0
 
 
+def _step_table():
+    """An 11-node step normalized by the exact integral of its PCHIP interpolant."""
+    x = np.linspace(0.0, 1.0, 11)
+    pchip = PchipInterpolator(x, (x >= 0.5).astype(float)).antiderivative()
+    return x.tolist(), (1.0 * (x >= 0.5) / (pchip(1.0) - pchip(0.0))).tolist()
+
+
+# nonlinear tables (nodes, values, modes): on the rule of the basis the hat
+# is off mass 1 by 5.3e-7 at 8 modes and within 1e-8 at 128, the step off
+# by 4.3e-8 at 128
+TABLES = {"hat-8": ([0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 0.96, 1.92, 0.96, 0.0], 8),
+          "hat-128": ([0.0, 0.25, 0.5, 0.75, 1.0], [0.0, 0.96, 1.92, 0.96, 0.0], 128),
+          "step-128": (*_step_table(), 128)}
+
+
 def _start(kind, domain):
     if kind == "point":
         return {"kind": "point", "x": 0.3 if domain == "interval" else [0.3, 0.2]}
     if kind == "density_mu":     # 1/2 + x: its PCHIP interpolant is exact
         return {"kind": "density_mu", "nodes": [0.0, 0.5, 1.0], "values": [0.5, 1.0, 1.5]}
+    if kind in TABLES:
+        return {"kind": "density_mu", "nodes": TABLES[kind][0], "values": TABLES[kind][1]}
     return {"kind": kind}
 
 
 @pytest.mark.parametrize("domain", ["interval", "rectangle"])
-@pytest.mark.parametrize("kind", ["mu", "mu0", "point", "density_mu"])
-def test_every_start_runs_limit_or_is_rejected_at_load(tmp_path, kind, domain):
+@pytest.mark.parametrize("kind", ["mu", "mu0", "point", "density_mu", *TABLES])
+def test_every_start_runs_limit_or_is_rejected_at_load(tmp_path, capsys, kind, domain):
     # a point start on a rectangle leaves a 1.5e-5 tail at 24 modes: tol 1e-4
-    doc = dict(BASE_CONFIG, nu=_start(kind, domain), modes=24, tol=1e-4)
+    modes = TABLES[kind][2] if kind in TABLES else 24
+    doc = dict(BASE_CONFIG, nu=_start(kind, domain), modes=modes, tol=1e-4)
     if domain == "rectangle":
         doc["domain"] = RECTANGLE
-    if (kind, domain) == ("density_mu", "rectangle"):
+    if doc["nu"]["kind"] == "density_mu" and domain == "rectangle":
         with pytest.raises(ConfigError, match="nu.kind 'density_mu' needs an interval"):
             ExperimentConfig.from_dict(doc)
         return
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "res"
+    try:
+        ExperimentConfig.from_dict(doc)
+    except ConfigError as exc:
+        # only a table off mass 1 on the basis rule, and the CLI stops at load too
+        assert kind in TABLES and f"on the {4 * modes + 64}-node Gauss rule" in str(exc)
+        assert run_cli("limit", "--config", str(path), "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {exc}\n"
+        return
     assert run_cli("limit", "--config", str(path), "--out", str(out)) == 0
     limit = json.loads((out / "limit.json").read_text())
     assert limit["positive"] and limit["finiteness"] == "guaranteed(d<=6)"
@@ -355,6 +384,98 @@ def test_every_start_runs_limit_or_is_rejected_at_load(tmp_path, kind, domain):
         axis = 8.0 * np.sqrt(2.0) / (3.0 * np.pi)
         want = axis if domain == "interval" else axis**2
         assert limit["inputs"]["nu"][0] == pytest.approx(want, rel=1e-12)
+
+
+def test_modes_override_reruns_the_table_check(tmp_path, capsys):
+    # the hat has mass 1 on the 576-node rule of 128 modes, not on the 96 of 8
+    nodes, values, _ = TABLES["hat-128"]
+    path = write_config(tmp_path, modes=128, **_density_nu(nodes, values))
+    out = str(tmp_path / "res")
+    assert run_cli("limit", "--config", str(path), "--out", out) == 0
+    assert run_cli("limit", "--config", str(path), "--out", out, "--modes", "8") == 2
+    assert "got 1.00000053064 on the 96-node Gauss rule" in capsys.readouterr().err
+
+
+def _loads_and_projects(doc) -> bool:
+    """False if the config is rejected at load; else its start projects."""
+    try:
+        cfg = ExperimentConfig.from_dict(doc)
+    except ConfigError as exc:
+        assert "-node Gauss rule of the basis" in str(exc)
+        return False
+    basis = cfg.build_basis()
+    project(harness.resolve_nu(cfg.nu_spec, basis), basis)
+    return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), modes=st.integers(1, 40),
+       inner=st.lists(st.floats(1e-3, 1.0 - 1e-3), max_size=10, unique=True))
+def test_load_rejects_exactly_the_tables_project_rejects(data, modes, inner):
+    nodes = [0.0, *sorted(inner), 1.0]
+    values = np.array(data.draw(st.lists(st.floats(0.0, 10.0), min_size=len(nodes),
+                                         max_size=len(nodes))))
+    if values.max() < 1e-3:
+        return
+    domain = data.draw(st.sampled_from([BASE_CONFIG["domain"], NEUMANN_INTERVAL,
+                                        DRIFT_INTERVAL]))
+    doc = dict(BASE_CONFIG, domain=domain, modes=modes)
+    # normalized on the rule of the basis: always loads and projects
+    x, w, _ = spectral.mu_rule(Domain.from_dict(domain), modes)
+    mass = float(np.dot(PchipInterpolator(nodes, values)(x), w))
+    assert _loads_and_projects(dict(doc, **_density_nu(nodes, (values / mass).tolist())))
+    # normalized by the exact integral of the interpolant, mass 1 against
+    # dx = mu when V = 0: loads and projects, or is rejected at load
+    if "potential" not in domain:
+        pchip = PchipInterpolator(nodes, values).antiderivative()
+        _loads_and_projects(dict(doc, **_density_nu(nodes, (values / pchip(1.0)).tolist())))
+
+
+def test_reflecting_limit_meets_the_config_tol():
+    # 1/2 + x at 16 modes leaves a tail of 5.2e-11: it meets the default tol,
+    # and a tol of 1e-12 applies as given
+    doc = dict(BASE_CONFIG, domain=NEUMANN_INTERVAL, modes=16,
+               **_density_nu([0.0, 0.5, 1.0], [0.5, 1.0, 1.5]))
+    cfg = ExperimentConfig.from_dict(doc)
+    basis = cfg.build_basis()
+    assert 1e-12 < limit_report(cfg, basis).tail_bound < 1e-10
+    with pytest.raises(LimitError, match="tail bound 5.2..e-11 above tolerance 1.000e-12"):
+        limit_report(dataclasses.replace(cfg, tol=1e-12), basis)
+
+
+def test_reflecting_point_limit_sums_the_config_modes():
+    # the limit of a point start sums the basis' own modes, like its rows:
+    # 8 modes miss the default tol, 512 give the closed-form coefficients' I
+    doc = dict(BASE_CONFIG, domain=NEUMANN_INTERVAL, nu={"kind": "point", "x": 0.3})
+    cfg = ExperimentConfig.from_dict(dict(doc, modes=8))
+    with pytest.raises(LimitError, match="raise the mode count"):
+        limit_report(cfg, cfg.build_basis())
+    cfg = ExperimentConfig.from_dict(dict(doc, modes=512))
+    report = limit_report(cfg, cfg.build_basis())
+    nu_c = np.sqrt(2.0) * np.cos(np.arange(512) * np.pi * 0.3)
+    nu_c[0] = 1.0
+    closed = compute_I_neumann(nu_c, spectral.analytic_eigenvalues(cfg.domain, 512))
+    assert report.modes_used == 512
+    assert report.I_value == pytest.approx(closed.I_value, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("domain", ["interval", "rectangle"])
+def test_mu0_start_is_the_closed_form_ground_state(domain):
+    doc = dict(BASE_CONFIG, nu={"kind": "mu0"}, modes=24)
+    if domain == "rectangle":
+        doc["domain"] = RECTANGLE
+    cfg = ExperimentConfig.from_dict(doc)
+    basis = cfg.build_basis()
+    nu = harness.resolve_nu(cfg.nu_spec, basis)
+    table = InitialDistribution(kind="density_mu", density=basis.ground_state ** 2,
+                                nodes=basis.grid, name="mu0")
+    assert np.array_equal(project(nu, basis), project(table, basis))
+    if domain == "interval":
+        # the MC sampler reads the start face to face, past the basis' Gauss nodes
+        grid = np.linspace(0.0, 1.0, 2049)
+        dens = nu.density_on(grid)
+        assert np.max(np.abs(dens - 2.0 * np.sin(np.pi * grid) ** 2)) <= 1e-15
+        assert dens[0] == 0.0 and dens[-1] <= 1e-30
 
 
 @pytest.mark.parametrize("name", sorted(os.listdir(CONFIGS)))

@@ -7,13 +7,13 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from condemp import (build_analytic_basis, mu_coefficients, project,
-                     solve_sturm_liouville, spectral, unit_interval)
+                     solve_sturm_liouville, spectral, transport, unit_interval)
 from condemp.domains import DIRICHLET, NEUMANN, Domain, DomainError, Potential, rectangle
 from condemp.measures import InitialDistribution
 from condemp.semigroup import conditional_density
 from condemp.spectral import (BasisError, ProjectionError, SpectralBasis, _axis_factors,
                               _legendre_rule, _tensor_modes, cosine_series, gauss_legendre,
-                              mode_table)
+                              gauss_panels, mode_table, mu_rule)
 
 PI2 = np.pi**2
 EPS = np.finfo(float).eps
@@ -82,6 +82,45 @@ def test_gauss_legendre_matches_extended_precision(n):
     for raw in _legendre_rule(n):
         assert not raw.flags.writeable
     assert nodes.flags.writeable and weights.flags.writeable
+
+
+def test_gauss_panels_keep_each_callers_formula():
+    # bit for bit the uniform panels of the displacement route, the
+    # geometric quantile panels and the numeric transport rule
+    gx, gw = _legendre_rule(16)
+    edges = np.linspace(-0.25, 1.5, 9)
+    half = 0.5 * np.diff(edges)
+    x, w = gauss_panels(edges[:-1], edges[1:], 16)
+    assert np.array_equal(x, ((0.5 * (edges[:-1] + edges[1:]))[:, None]
+                              + half[:, None] * gx).ravel())
+    assert np.array_equal(w, (half[:, None] * gw).ravel())
+    lo, hi = np.array([0.0, 1e-10, 0.3]), np.array([1e-10, 0.3, 0.3 + 1e-3])
+    x, w = gauss_panels(lo, hi, 16)
+    assert np.array_equal(x, ((0.5 * (hi + lo))[:, None] + (0.5 * (hi - lo))[:, None] * gx).ravel())
+    gx, gw = _legendre_rule(12)
+    geo = 1e-10 * 2.0 ** np.arange(14)
+    edges = np.unique(np.concatenate([[0.0], geo, np.linspace(geo[-1], 1.0 - geo[-1],
+                                                              4000 // 12 - 28),
+                                      1.0 - geo[::-1], [1.0]]))
+    a, b = edges[:-1], edges[1:]
+    u, w = transport._quantile_grid(4000)
+    assert np.array_equal(u, (0.5 * (a + b)[:, None]
+                              + 0.5 * (b - a)[:, None] * gx[None, :]).ravel())
+    assert np.array_equal(w, (0.5 * (b - a)[:, None] * gw[None, :]).ravel())
+
+
+@pytest.mark.parametrize("potential", [None, Potential(np.linspace(0.0, 1.0, 17),
+                                                       np.linspace(0.0, 2.0, 17))])
+def test_every_interval_basis_sits_on_its_mu_rule(potential):
+    dom = unit_interval(potential=potential)
+    basis = (solve_sturm_liouville(dom, 16, 2000) if potential
+             else build_analytic_basis(dom, 16))
+    x, w, mu_leb = mu_rule(dom, 16)
+    assert x.size == 4 * 16 + 64
+    assert np.array_equal(basis.grid, x) and np.array_equal(basis.weights, w)
+    assert np.array_equal(basis.mu_lebesgue, mu_leb)
+    assert np.sum(w) == pytest.approx(1.0, abs=1e-15)
+    assert np.dot(mu_leb, gauss_legendre(4 * 16 + 64, 0.0, 1.0)[1]) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_gauss_legendre_rule_in_linear_memory():
@@ -447,6 +486,9 @@ def test_project_rejects_bad_measures(dirichlet_basis_64):
                                    nodes=dirichlet_basis_64.grid)
     with pytest.raises(ProjectionError):
         project(off_mass, dirichlet_basis_64)
+    nan_mass = InitialDistribution.from_density_mu(lambda x: np.full(len(x), np.nan))
+    with pytest.raises(ProjectionError, match="mass nan"):
+        project(nan_mass, dirichlet_basis_64)
 
 
 def test_mu_coefficient_budget(dirichlet_basis_128, neumann_basis_64):

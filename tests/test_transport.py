@@ -341,6 +341,24 @@ def test_entropic_identical():
     assert res.w2_squared <= 1e-6
 
 
+def test_entropic_gap_from_marginal_residuals_matches_the_kl_form(monkeypatch):
+    # the gap <f, P1 - a> + <g, P^T 1 - b> is cost + eps KL(P | a b) - <f, a>
+    # - <g, b> of the final plan P = exp((f + g - C)/eps) a b
+    x, a, y, b, _ = _sweep_case("cross")
+    a, b = a / a.sum(), b / b.sum()
+    C = transport._sq_cost(x, y)
+    levels, sweep = [], transport._sinkhorn_potentials
+    monkeypatch.setattr(transport, "_sinkhorn_potentials",
+                        lambda *args, **kw: levels.append(sweep(*args, **kw)) or levels[-1])
+    schedule = np.geomspace(C.max() / 4, 3e-3, 8)
+    cost, _, gap, _, _ = transport._ot_eps(a, b, C, schedule, 1e-5 * 3e-3)
+    f, g = levels[-1][:2]
+    P = np.exp((f[:, None] + g[None, :] - C) / schedule[-1]) * np.outer(a, b)
+    kl = float(np.sum(P * np.log(P / np.outer(a, b))))
+    kl_gap = abs(cost + schedule[-1] * kl - np.dot(f, a) - np.dot(g, b))
+    assert gap == pytest.approx(kl_gap, rel=1e-9)
+
+
 def test_entropic_matches_quantile_1d():
     m1 = bump(0.3, width=0.1, n=2049)
     m2 = bump(0.6, width=0.15, n=2049)
