@@ -25,7 +25,7 @@ from .semigroup import rho_tilde  # noqa: F401  (perfbench/spans.py times this n
 from .spectral import (ProjectionError, SpectralBasis, build_analytic_basis, mu_coefficients,
                        mu_rule, nu_l2_budget, project, solve_sturm_liouville,
                        validate_density)
-from .transport import (atomization_error, h_minus1_upper_bound,
+from .transport import (TransportError, atomization_error, h_minus1_upper_bound,
                         kantorovich_dual_lower, w1_grid_1d, w2_displacement_1d,
                         w2_entropic, w2_exact_discrete)
 from .transport import w2_quantile_1d  # noqa: F401  (perfbench/spans.py times this name)
@@ -46,6 +46,7 @@ _DOMAIN_KEYS = {"kind", "bounds", "boundary", "potential"}
 _NU_FIELDS = {"mu": (), "mu0": (), "point": ("x",), "density_mu": ("values", "nodes")}
 W2_METHODS = ("quantile1d", "exact-discrete", "entropic")
 EXACT_ATOMS = 384      # atoms per side of the exact monotone-coupling route
+POTENTIAL_NODES = 4097  # nodes of the dual lower bound's potential in the killed rows
 
 
 class ConfigError(ValueError):
@@ -193,6 +194,14 @@ def _check_nu(spec, domain: Domain, modes: int):
     a, b = domain.bounds
     if any(n2 <= n1 for n1, n2 in zip(nodes, nodes[1:])) or nodes[0] > a or nodes[-1] < b:
         raise ConfigError(f"nu.nodes must be strictly increasing and cover [{a:g}, {b:g}]")
+    # PCHIP starts from the secant slopes: an infinite one stops it
+    with np.errstate(over="ignore"):
+        slopes = np.diff(values) / np.diff(nodes)
+    if not np.all(np.isfinite(slopes)):
+        i = int(np.argmin(np.isfinite(slopes)))
+        raise ConfigError(f"nu.nodes {nodes[i]!r} and {nodes[i + 1]!r} are too close for "
+                          f"their values {values[i]!r} and {values[i + 1]!r}: the secant "
+                          "slope between them overflows")
     # the test `project` applies, on the rule the basis will use
     x, w, _ = mu_rule(domain, modes)
     h = PchipInterpolator(nodes, values)(x)
@@ -453,13 +462,13 @@ def killed_rows(config: ExperimentConfig, basis: SpectralBasis, times) -> list:
     potential the upper bound's H^-1(mu_0) potential of h_t - 1).  The
     quantile route solves the coupling from the fluctuation block
     (`spectral_w2`); the other routes, and the lower bound, transport grid
-    measures of `grid_nodes` nodes.  mu_0's grid measure and the ratio
-    table are built once for every t.  `ordered` states
+    measures of `grid_nodes` nodes; the potential enters it by its values
+    on POTENTIAL_NODES uniform nodes (`SpectralBasis.ratio_series`).  mu_0's
+    grid measure is built once for every t.  `ordered` states
     lower <= W2^2 <= upper within the declared errors."""
     reference = mu0_measure(basis, config.grid_nodes)
     nu = resolve_nu(config.nu_spec, basis)
-    xs = np.linspace(*basis.domain.bounds[:2], 4097)
-    ratio = basis.eval_ratio(xs)
+    xs = np.linspace(*basis.domain.bounds[:2], POTENTIAL_NODES)
     rows = []
     for t in times:
         cd = conditional_density(nu, basis, t)
@@ -467,7 +476,8 @@ def killed_rows(config: ExperimentConfig, basis: SpectralBasis, times) -> list:
         res = (spectral_w2(basis, _fluctuation_block(cd)) if config.w2_method == "quantile1d"
                else w2_by_method(config.w2_method, mt, reference))
         upper = h_minus1_upper_bound(cd.grid_values, basis)
-        lower = kantorovich_dual_lower(mt, reference, upper["potential"] @ ratio, f_nodes=xs)
+        f = basis.ratio_series(upper["potential"], xs.size)
+        lower = kantorovich_dual_lower(mt, reference, f, f_nodes=xs)
 
         tol = res.error_estimate + 1e-14 + abs(upper["coefficient_tail"])
         ordered = (lower["lower_bound"] <= res.w2_squared + tol
@@ -492,7 +502,7 @@ def run_sandwich(config: ExperimentConfig, t: float) -> dict:
     basis = interval_basis(config, "sandwich")
     row = killed_rows(replace(config, w2_method="quantile1d"), basis, [t])[0]
     if not row["ordered"]:
-        raise RuntimeError(f"sandwich ordering violated beyond tolerances: {row}")
+        raise TransportError(f"sandwich ordering violated beyond tolerances: {row}")
     if config.out:
         _dump(row, config.out, f"sandwich_t{t:g}.json")
     return row

@@ -114,7 +114,8 @@ class GridMeasure:
         self.lebesgue_density = leb
         self._pdf = PPoly(leb[None, :], nodes) if histogram else PchipInterpolator(nodes, leb)
         self._cdf = self._pdf.antiderivative()
-        self._cdf_nodes = self._cdf(nodes)
+        # the CDF at each left breakpoint is its piece's constant term
+        self._cdf_nodes = np.append(self._cdf.c[-1], self._cdf(nodes[-1]))
         self._mass = float(self._cdf_nodes[-1])
         if not abs(self._mass - 1.0) <= 1e-8:      # NaN densities fail here too
             raise MeasureError(f"total mass {self._mass!r} differs from 1 beyond 1e-8")

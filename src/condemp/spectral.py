@@ -13,8 +13,10 @@ Closed-form modes at arbitrary points come from one outer(k, pi u) table per
 axis.  Series on a uniform interval grid (`SpectralBasis.grid_series`) build
 no table: every closed-form product phi_m phi_n is a sum of two cosines of
 the unit coordinate, so the series folds exactly into cosine coefficients
-and one type-I DCT evaluates them (`cosine_series`).  Numeric
-Sturm-Liouville bases evaluate the same series through their mode table.
+and one type-I DCT evaluates them (`cosine_series`).  Ground-state ratio
+series (`SpectralBasis.ratio_series`) fold the same way, since sin(k pi u)
+/ sin(pi u) is a cosine polynomial.  Numeric Sturm-Liouville bases
+evaluate the same series through their mode table.
 The monotone coupling of two such densities (`transport_equation`) reuses
 the fold: their CDF gap is the matching sine series.
 """
@@ -282,9 +284,12 @@ class SpectralBasis:
     def ground_state(self) -> np.ndarray:
         return self.eigenfunctions[0]
 
-    @property
+    @cached_property
     def ground_ratio(self) -> np.ndarray:
-        return self.eigenfunctions / self.eigenfunctions[0]
+        """phi_m / phi_0 on the grid, (M, N), built once per basis, read-only."""
+        table = self.eigenfunctions / self.eigenfunctions[0]
+        table.flags.writeable = False
+        return table
 
     @cached_property
     def eigenfunctions(self) -> np.ndarray:
@@ -349,6 +354,32 @@ class SpectralBasis:
         if not neumann:
             f[[0, -1]] = 0.0
         return f
+
+    def ratio_series(self, c, n: int) -> np.ndarray:
+        """sum_m c_m phi_m / phi_0 on the interval grid np.linspace(a, b, n),
+        with the ratio's limits at the faces.
+
+        Closed-form modes take no table.  Dirichlet: sin(k pi u) / sin(pi u)
+        = sum_{p = k-1, k-3, .. >= 0} (2 - [p = 0]) cos(p pi u), so a_p is
+        (2 - [p = 0]) times the sum of c over the modes k = p + 1, p + 3, ..,
+        a reversed cumulative sum over each parity class, and `cosine_series`
+        evaluates the M coefficients, at the faces too, with no division.
+        Neumann: phi_0 = 1, and the series is `grid_series` of the vector.
+        Numeric bases contract `eval_ratio` on the grid."""
+        dom = self.domain
+        if dom.kind != "interval":
+            raise BasisError("ratio series are evaluated on intervals only")
+        c = np.asarray(c, dtype=float)
+        if not self.analytic:
+            return c @ self.eval_ratio(np.linspace(*dom.bounds, n))
+        if dom.boundary == NEUMANN:
+            return self.grid_series(c, n)
+        k = self.mode_indices[:, 0]
+        a = np.bincount(k - 1, c, minlength=int(k[-1]))       # c_k at p = k - 1
+        for first in (0, 1):
+            a[first::2] = np.cumsum(a[first::2][::-1])[::-1]
+        a[1:] *= 2.0
+        return cosine_series(a, n)
 
     def _cosine_coefficients(self, C) -> np.ndarray:
         """The fold of `grid_series` for closed-form interval modes: a with

@@ -507,9 +507,11 @@ def kantorovich_dual_lower(m1: GridMeasure, m2: GridMeasure, f_values, f_nodes):
     The conjugate f^c(y) = inf_x {(x-y)^2/2 - f(x)} is minimized over a
     dense grid of DUAL_SEARCH nodes x_i by `_c_transform`, in O(N + M) time
     and memory for N search nodes and M target nodes.  Subtracting the
-    parabola-bound slack (dx^2/8) (1 + max|f''|) keeps the reported value
-    below the true weak-duality bound.  A poor potential yields a weak but
-    valid bound; the result is clamped below at zero.
+    parabola-bound slack (dx^2/8) (1 + sup|f''|) keeps the reported value
+    below the true weak-duality bound; the supremum is over the search
+    interval, read off the ends of the PCHIP pieces that meet it.  A poor
+    potential yields a weak but valid bound; the result is clamped below
+    at zero.
     """
     lo = min(m1.support[0], m2.support[0])
     hi = max(m1.support[1], m2.support[1])
@@ -522,8 +524,12 @@ def kantorovich_dual_lower(m1: GridMeasure, m2: GridMeasure, f_values, f_nodes):
     if not np.all(np.isfinite(fx)):
         raise TransportError("dual potential must be bounded on the grid")
     dx = xs[1] - xs[0]
-    fpp = pp.derivative(2)(xs)
-    slack = (dx * dx / 8.0) * (1.0 + float(np.max(np.abs(fpp))))
+    # f'' is linear on each piece: its supremum sits at a piece end
+    d2 = pp.derivative(2)
+    meet = (d2.x[:-1] < xs[-1]) & (d2.x[1:] > xs[0])
+    slope, left = d2.c[:, meet]
+    ends = np.concatenate([left, slope * np.diff(d2.x)[meet] + left])
+    slack = (dx * dx / 8.0) * (1.0 + float(np.max(np.abs(ends))))
 
     fc = _c_transform(xs, fx, m2.nodes) - slack
 

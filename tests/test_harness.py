@@ -151,6 +151,11 @@ BAD_AT_LOAD = {
                        "nu.nodes must be strictly increasing and cover \\[0, 1\\]"),
     "nu-nodes-inside": (_density_nu([0.2, 0.5, 0.8], [1.0] * 3),
                         "nu.nodes must be strictly increasing and cover \\[0, 1\\]"),
+    # a secant slope of 1/5e-324 overflows, and PCHIP stops on it
+    "nu-nodes-subnormal-gap": (_density_nu([0.0, 5e-324, 1.0], [1.0, 2.0, 1.0]),
+                               "nu.nodes 0.0 and 5e-324 are too close for their values"),
+    "nu-nodes-1e-310-gap": (_density_nu([0.0, 1e-310, 0.5, 1.0], [1.0, 2.0, 1.0, 1.0]),
+                            "nu.nodes 0.0 and 1e-310 are too close"),
     "nu-point-two-on-interval": ({"nu": {"kind": "point", "x": [0.3, 0.4]}},
                                  "nu.x must hold 1 finite number"),
     "nu-point-one-on-rectangle": ({"domain": RECTANGLE, "nu": {"kind": "point", "x": 0.3}},
@@ -621,12 +626,31 @@ def test_killed_lower_bound_reads_the_upper_bounds_potential(monkeypatch):
     basis = config.build_basis()
     rows = harness.killed_rows(config, basis, config.times)
     xs = np.linspace(0.0, 1.0, 4097)
-    ratio = basis.eval_ratio(xs)
+    k = basis.mode_indices[:, 0]
+    # the ratio table, read at 1 - x on the far half (phi_m/phi_0 is
+    # (-1)^(k+1) times its mirror image), where its own rounding is small
+    far = xs > 0.5
+    mirror = np.where(far, (-1.0) ** (k + 1)[:, None], 1.0)
+    ratio = basis.eval_ratio(np.where(far, 1.0 - xs, xs)) * mirror
     assert len(uppers) == len(duals) == len(rows) == 2
     for row, up, (f, f_nodes) in zip(rows, uppers, duals):
         assert np.array_equal(f_nodes, xs)
-        assert np.array_equal(f, up["potential"] @ ratio)
+        assert np.array_equal(f, basis.ratio_series(up["potential"], xs.size))
+        # the ratio table's contraction, within the fold's bound
+        tol = 64 * np.finfo(float).eps * np.sum(np.abs(up["potential"]) * k)
+        assert np.max(np.abs(f - up["potential"] @ ratio)) <= tol
         assert row["ordered"] and 0.0 < row["lower"] <= row["w2sq"]
+
+
+def test_killed_rows_build_no_ratio_table(monkeypatch):
+    # closed-form modes fold the dual potential into cosine coefficients
+    def refuse(self, x):
+        raise AssertionError("killed rows tabulated phi_m / phi_0")
+
+    monkeypatch.setattr(spectral.SpectralBasis, "eval_ratio", refuse)
+    config = ExperimentConfig.from_dict(dict(BASE_CONFIG, times=[2.0, 4.0], modes=32))
+    rows = harness.killed_rows(config, config.build_basis(), config.times)
+    assert all(row["ordered"] and 0.0 < row["lower"] <= row["w2sq"] for row in rows)
 
 
 def test_occupation_measures_are_each_times_own_series():
@@ -824,3 +848,12 @@ def test_cli_sandwich(tmp_path, capsys):
     assert run_cli("sandwich", "--config", str(cfg_path),
                    "--out", str(tmp_path / "res3"), "--t", "2.0") == 0
     assert "ordered=True" in capsys.readouterr().out
+
+
+def test_cli_sandwich_reports_a_violated_ordering(tmp_path, capsys):
+    # on a 17-node grid measure the dual lower bound lies above W2^2 at t = 4
+    cfg_path = write_config(tmp_path, modes=32, grid_nodes=17)
+    out = str(tmp_path / "res")
+    assert run_cli("sandwich", "--config", str(cfg_path), "--out", out, "--t", "4") == 2
+    assert "error: sandwich ordering violated beyond tolerances" in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "sandwich_t4.json"))

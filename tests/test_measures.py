@@ -170,6 +170,15 @@ def test_blocked_inversion_matches_reference(shape, n, histogram, count, u, seed
     np.testing.assert_array_equal(gm.quantile(lv), gm._invert(lv.copy()))
 
 
+@pytest.mark.parametrize("n", [2, 3, 65, 8193])
+@pytest.mark.parametrize("histogram", [False, True])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_node_cdf_is_the_cdf_at_the_nodes(shape, histogram, n):
+    # read off the antiderivative's constant terms, bit for bit its values
+    gm = _shape_measure(shape, n, histogram)
+    assert [v.hex() for v in gm._cdf_nodes] == [v.hex() for v in gm._cdf(gm.nodes)]
+
+
 def test_unconverged_inversion_raises(monkeypatch):
     # one sweep leaves levels of a smooth measure open
     x = np.linspace(0.0, 1.0, 8193)

@@ -275,10 +275,42 @@ def test_cosine_series_folds_high_phases():
         cosine_series([1.0], 1)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4097])
+@pytest.mark.parametrize("M", [1, 2, 128])
+@pytest.mark.parametrize("boundary", [DIRICHLET, NEUMANN])
+def test_ratio_series_matches_the_ratio_table(boundary, M, n):
+    # within 64 ulp of sum |c_m| k_m, face limits k and (-1)^(k+1) k included.
+    # The Dirichlet table divides sin(k pi u), whose phase carries a rounding
+    # of ~eps k pi, by sin(pi u): near u = 1 that is ~5e-11 at M = 128, so
+    # there it is read at 1 - u, where phi_m/phi_0 is (-1)^(k+1) times it
+    basis = _interval_basis(boundary, M)
+    c = np.random.default_rng(M * 10_000 + n).standard_normal(M)
+    k = basis.mode_indices[:, 0]
+    u = np.linspace(0.0, 1.0, n)
+    table = c @ basis.eval_ratio(u)
+    if boundary == DIRICHLET:
+        far = u > 0.5
+        table[far] = (c * (-1.0) ** (k + 1)) @ basis.eval_ratio(1.0 - u[far])
+    got = basis.ratio_series(c, n)
+    assert got.shape == (n,)
+    assert np.max(np.abs(got - table)) <= 64 * EPS * np.sum(np.abs(c) * np.maximum(k, 1))
+
+
+def test_numeric_ratio_series_is_the_table_contraction():
+    nodes = np.linspace(0.0, 1.0, 65)
+    basis = solve_sturm_liouville(unit_interval(potential=Potential(nodes, 2.0 * nodes)), 16, 2000)
+    c = np.random.default_rng(3).standard_normal(16)
+    for n in (2, 3, 4097):
+        assert np.array_equal(basis.ratio_series(c, n),
+                              c @ basis.eval_ratio(np.linspace(0.0, 1.0, n)))
+
+
 def test_grid_series_needs_an_interval():
     basis = build_analytic_basis(rectangle(0.0, 1.0, 0.0, 0.5), 8)
     with pytest.raises(BasisError, match="intervals only"):
         basis.grid_series(np.eye(8), 17)
+    with pytest.raises(BasisError, match="intervals only"):
+        basis.ratio_series(np.ones(8), 17)
 
 
 def test_reject_bad_inputs():
@@ -364,6 +396,10 @@ def test_closed_form_table_is_built_on_first_read(domain):
     assert not table.flags.writeable
     assert basis.eigenfunctions is table
     assert np.array_equal(basis.eval_modes(basis.grid, [0])[0], table[0])
+    # the ratio table too: divided once, read-only
+    ratio = basis.ground_ratio
+    assert np.array_equal(ratio, table / table[0]) and not ratio.flags.writeable
+    assert basis.ground_ratio is ratio
 
 
 def test_too_coarse_closed_form_rule_raises_on_first_table_read():

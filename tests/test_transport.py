@@ -708,6 +708,22 @@ def test_dual_lower_near_tight_for_occupation():
     assert out["lower_bound"] >= (1.0 - 0.2) * quant.w2_squared
 
 
+def test_dual_lower_slack_covers_a_one_sided_curvature_limit():
+    # f'' of a PCHIP potential is linear on each piece and jumps at its
+    # breakpoints; at one strictly inside a search cell the one-sided limit
+    # exceeds every sampled |f''|, and the interpolation bound of the
+    # conjugate needs the supremum over the whole cell
+    m = mu0_measure(513)
+    xs = np.linspace(0.0, 1.0, DUAL_SEARCH)
+    dx = xs[1] - xs[0]
+    nodes, values = np.array([0.0, 0.5 + 0.5 * dx, 1.0]), np.array([0.0, 0.0, 1.0])
+    pp = PchipInterpolator(nodes, values)
+    limit = abs(2 * pp.c[1, 1])        # the right piece's f'' at the breakpoint
+    assert limit > np.max(np.abs(pp.derivative(2)(xs)))
+    out = kantorovich_dual_lower(m, m, values, f_nodes=nodes)
+    assert out["conjugation_slack"] >= (dx * dx / 8.0) * (1.0 + limit)
+
+
 def _dual_lower_reference(m1, m2, f_values, f_nodes):
     """The conjugate by brute force: the minimum over every search node for
     every target node, in blocks of the full N x M matrix."""
@@ -718,7 +734,15 @@ def _dual_lower_reference(m1, m2, f_values, f_nodes):
     xs = np.linspace(max(lo, nodes[0]), min(hi, nodes[-1]), DUAL_SEARCH)
     fx = pp(xs)
     dx = xs[1] - xs[0]
-    slack = (dx * dx / 8.0) * (1.0 + float(np.max(np.abs(pp.derivative(2)(xs)))))
+    # sup |f''| over the search interval: f'' = 6 c_3 s + 2 c_2 on each cubic
+    # piece, largest in size at an end, over every piece that meets it
+    curvature = 0.0
+    for i in range(nodes.size - 1):
+        if nodes[i] < xs[-1] and nodes[i + 1] > xs[0]:
+            c3, c2 = pp.c[:2, i]
+            h = nodes[i + 1] - nodes[i]
+            curvature = max(curvature, abs(2 * c2), abs(6 * c3 * h + 2 * c2))
+    slack = (dx * dx / 8.0) * (1.0 + curvature)
     y = m2.nodes
     fc = np.empty(y.size)
     block = max(1, int(2e7 // xs.size))
