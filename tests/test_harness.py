@@ -609,12 +609,15 @@ def test_reflecting_routes_build_no_mode_table(monkeypatch):
 
 def test_killed_lower_bound_reads_the_upper_bounds_potential(monkeypatch):
     # both sides of the sandwich read one H^-1(mu_0) potential of h_t - 1:
-    # the rows neither build rho_tilde nor project nu and mu again
+    # the rows neither build rho_tilde nor project nu and mu again, and
+    # closed-form modes fold the potential with no phi_m / phi_0 table
     def refuse(*args, **kwargs):
-        raise AssertionError("killed rows rebuilt the potential")
+        raise AssertionError("killed rows rebuilt the potential or tabulated it")
 
     for name in ("rho_tilde", "project", "mu_coefficients"):
         monkeypatch.setattr(harness, name, refuse)
+    eval_ratio = spectral.SpectralBasis.eval_ratio
+    monkeypatch.setattr(spectral.SpectralBasis, "eval_ratio", refuse)
     uppers, duals = [], []
     upper, lower = harness.h_minus1_upper_bound, harness.kantorovich_dual_lower
     monkeypatch.setattr(harness, "h_minus1_upper_bound",
@@ -631,7 +634,7 @@ def test_killed_lower_bound_reads_the_upper_bounds_potential(monkeypatch):
     # (-1)^(k+1) times its mirror image), where its own rounding is small
     far = xs > 0.5
     mirror = np.where(far, (-1.0) ** (k + 1)[:, None], 1.0)
-    ratio = basis.eval_ratio(np.where(far, 1.0 - xs, xs)) * mirror
+    ratio = eval_ratio(basis, np.where(far, 1.0 - xs, xs)) * mirror
     assert len(uppers) == len(duals) == len(rows) == 2
     for row, up, (f, f_nodes) in zip(rows, uppers, duals):
         assert np.array_equal(f_nodes, xs)
@@ -640,17 +643,6 @@ def test_killed_lower_bound_reads_the_upper_bounds_potential(monkeypatch):
         tol = 64 * np.finfo(float).eps * np.sum(np.abs(up["potential"]) * k)
         assert np.max(np.abs(f - up["potential"] @ ratio)) <= tol
         assert row["ordered"] and 0.0 < row["lower"] <= row["w2sq"]
-
-
-def test_killed_rows_build_no_ratio_table(monkeypatch):
-    # closed-form modes fold the dual potential into cosine coefficients
-    def refuse(self, x):
-        raise AssertionError("killed rows tabulated phi_m / phi_0")
-
-    monkeypatch.setattr(spectral.SpectralBasis, "eval_ratio", refuse)
-    config = ExperimentConfig.from_dict(dict(BASE_CONFIG, times=[2.0, 4.0], modes=32))
-    rows = harness.killed_rows(config, config.build_basis(), config.times)
-    assert all(row["ordered"] and 0.0 < row["lower"] <= row["w2sq"] for row in rows)
 
 
 def test_occupation_measures_are_each_times_own_series():
