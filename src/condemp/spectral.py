@@ -18,12 +18,13 @@ series (`SpectralBasis.ratio_series`) fold the same way, since sin(k pi u)
 / sin(pi u) is a cosine polynomial.  Numeric Sturm-Liouville bases
 evaluate the same series through their mode table.
 The monotone coupling of two such densities (`transport_equation`) reuses
-the fold: their CDF gap is the matching sine series.
+the fold: their CDF gap is the matching sine series (baby/giant-step sums).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
@@ -57,7 +58,7 @@ __all__ = [
 
 ORTHO_TOL = 1e-8
 PANEL_ORDER = 16         # Gauss points per panel of the transport-equation rules
-PHASE_CHUNK = 2**17      # phase-table entries per chunk (2 MiB of complex128)
+PHASE_CHUNK = 2**17      # step-table entries per chunk of points (2 MiB of complex128)
 LEGENDRE_SWEEPS = 10     # Newton sweeps allowed for a Gauss-Legendre rule (4 at n = 8000)
 NODE_STEP = 4e-16        # a Gauss-Legendre rule has converged when no node moves more
 
@@ -188,7 +189,11 @@ def _axis_factors(k: np.ndarray, u: np.ndarray, boundary: str, ratio: bool) -> n
     sqrt(2) sin(k pi u) (Dirichlet), sqrt(2) cos(k pi u) and 1 for k = 0
     (Neumann).  With ratio, the Dirichlet factor is divided by the ground
     factor, sin(k pi u) / sin(pi u), with its limits filled in at the faces;
-    the Neumann ground factor is 1."""
+    the Neumann ground factor is 1.  The ratio is (-1)^(k+1) times its value
+    at 1 - u, exact for u >= 1/2, where it is read: near u = 1 the phase's
+    rounding, ~eps k pi u, would be divided by a small sin(pi u)."""
+    far = (u > 0.5) & (ratio and boundary != NEUMANN)      # mirrored ratio columns
+    u = np.where(far, 1.0 - u, u)
     vals = np.outer(k, np.pi * u)          # one table, transformed in place
     (np.cos if boundary == NEUMANN else np.sin)(vals, out=vals)
     if boundary == NEUMANN or not ratio:
@@ -198,8 +203,18 @@ def _axis_factors(k: np.ndarray, u: np.ndarray, boundary: str, ratio: bool) -> n
     with np.errstate(divide="ignore", invalid="ignore"):
         vals /= np.sin(np.pi * u)
     vals[:, u <= 0.0] = k[:, None]
-    vals[:, u >= 1.0] = (k * (-1.0) ** (k + 1))[:, None]
+    vals[:, far] *= (-1.0) ** (k + 1)[:, None]
     return vals
+
+
+def _powers(w: np.ndarray, k: int) -> np.ndarray:
+    """w^0 .. w^(k - 1), shape (k, w.size): rows h .. 2h - 1 are rows 0 .. h - 1 times w^h."""
+    out = np.empty((k, w.size), dtype=complex)
+    out[0], h = 1.0, 1
+    while h < k:
+        np.multiply(out[:min(h, k - h)], out[h - 1] * w, out=out[h:2 * h])
+        h *= 2
+    return out
 
 
 def cosine_series(a, n: int) -> np.ndarray:
@@ -413,14 +428,14 @@ class SpectralBasis:
 
         Closed-form modes fold f into cosine coefficients beta_p in the unit
         coordinate u (`grid_series`), so D = sum_p beta_p sin(p pi u)/(p pi).
-        Both sums at u + d come from one table of the phases exp(i p pi u),
-        p = 1 .. P, built by `np.cumprod` in row chunks of PHASE_CHUNK
-        entries; each `at(x)` allocates that table once, and every chunk of
-        every residual call overwrites it.  phi_0^2 is 1 - cos 2 pi u
-        (Dirichlet) or 1 (Neumann), so F_0(x + d) - F_0(x) =
-        d - cos(pi (2 u + d)) sin(pi d)/pi or d, in units of L.  Numeric bases integrate f mu from the mode table: D(x)
-        by Gauss rules between consecutive points, F_1(x + d) - F_1(x) by
-        one on [x, x + d]."""
+        Both are polynomials of degree P in z = exp(i pi u), summed by baby
+        and giant steps (Paterson & Stockmeyer 1973): z^(q R + r) = (z^R)^q z^r,
+        R = ceil(sqrt(P + 1)): one real product of the (2 Q, R) coefficients
+        with the baby steps, then the Q giant steps.  phi_0^2 is 1 - cos 2 pi u
+        (Dirichlet) or 1 (Neumann), so F_0(x + d) - F_0(x) = d - cos(pi (2 u
+        + d)) sin(pi d)/pi or d, in units of L.  Numeric bases integrate f mu
+        from the mode table: D(x) by Gauss rules between consecutive points,
+        F_1(x + d) - F_1(x) by one on [x, x + d]."""
         if self.domain.kind != "interval":
             raise BasisError("transport equations are solved on intervals only")
         B = np.asarray(B, dtype=float)
@@ -432,29 +447,31 @@ class SpectralBasis:
             raise BasisError("closed-form Dirichlet fluctuations are (M, M) blocks, not vectors")
         beta = self._cosine_coefficients(B)     # beta_0 is the mass: 0
         P = int(np.flatnonzero(beta)[-1]) if np.any(beta[1:]) else 0
-        p = np.arange(1, P + 1)
-        W = np.zeros((2 * P, 2))                # rows: Re, Im of each phase
-        W[0::2, 0] = beta[1:P + 1]
-        W[1::2, 1] = beta[1:P + 1] / (p * np.pi)
-        chunk = max(1, PHASE_CHUNK // max(P, 1))        # rows per phase table
+        R = math.isqrt(P) + 1                   # ceil(sqrt(P + 1)) baby steps
+        Q = -(-(P + 1) // R)                    # giant steps: R Q >= P + 1
+        C = np.zeros((2, Q * R))                # f and D coefficients of z^(q R + r)
+        C[:, 1:P + 1] = beta[1:P + 1], beta[1:P + 1] / (np.arange(1, P + 1) * np.pi)
+        C = C.reshape(2 * Q, R)
+        # whole blocks of 64 points: BLAS blocks C @ E alike at any chunk size
+        chunk = 64 * max(1, PHASE_CHUNK // (64 * (R + 3 * Q)))
 
         def at(x):
             u = (np.asarray(x, dtype=float) - a) / L
-            buf = np.empty((min(chunk, u.size), P), dtype=complex)     # one phase table
 
             def residual(d):
                 s = d / L
                 y = u + s
-                fD = np.empty((y.size, 2))              # f and D at y
+                fD = np.empty((2, y.size))              # f and D at y
                 for i in range(0, y.size, chunk):
                     z = np.exp(1j * np.pi * y[i:i + chunk])
-                    table = np.cumprod(np.broadcast_to(z[:, None], (z.size, P)), axis=1,
-                                       out=buf[:z.size])
-                    fD[i:i + chunk] = table.view(float) @ W
+                    E = _powers(z, R)                   # z^r
+                    S = (C @ E.view(float)).view(complex).reshape(2, Q, z.size)
+                    S *= _powers(E[-1] * z, Q)          # times z^(q R)
+                    fD[:, i:i + chunk] = S[0].real.sum(axis=0), S[1].imag.sum(axis=0)
                 if dirichlet:
                     inc = s - np.cos(np.pi * (2 * u + s)) * np.sin(np.pi * s) / np.pi
-                    return inc + fD[:, 1], (2 * np.sin(np.pi * y) ** 2 + fD[:, 0]) / L
-                return s + fD[:, 1], (1.0 + fD[:, 0]) / L
+                    return inc + fD[1], (2 * np.sin(np.pi * y) ** 2 + fD[0]) / L
+                return s + fD[1], (1.0 + fD[0]) / L
 
             return (2 * np.sin(np.pi * u) ** 2 if dirichlet else np.ones(u.size)) / L, residual
         return at
@@ -508,13 +525,16 @@ class SpectralBasis:
             a, b = self.domain.bounds
             L = b - a
             u = (x - a) / L
+            far = u > 0.5           # mirrored as in `_axis_factors`, sign -(-1)^(k+1)
+            u = np.where(far, 1.0 - u, u)
             k = np.arange(1, self.M + 1)
             out = np.zeros((self.M, x.size))
-            inner = (u > 0.0) & (u < 1.0)
+            inner = u > 0.0
             ui = u[inner]
             s, c = np.sin(np.pi * ui), np.cos(np.pi * ui)
             ku = np.outer(k, np.pi * ui)
             out[:, inner] = (np.pi / L) * (k[:, None] * np.cos(ku) * s - np.sin(ku) * c) / s**2
+            out[:, far] *= -(-1.0) ** (k + 1)[:, None]
             # interior limit at the faces is 0 by symmetry of the ratio
             return out
         spline = CubicSpline(self.grid, self.eval_ratio(self.grid), axis=1)

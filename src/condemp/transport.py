@@ -151,10 +151,11 @@ def w2_displacement_1d(equation, bounds, phases: int) -> TransportResult:
     stalls.  A density rho_1 <= 0 on the way raises.  The declared error is
     the difference from the solve on half the panels, plus the last step's
     2 int |d step| dmu_0 of both solves, plus 1e-15 of W2^2 for rounding.
+    `details["newton_sweeps"]` holds the sweep counts of both solves.
     """
     a, b = bounds
     panels = max(2, -(-2 * phases // PANEL_ORDER))
-    vals, steps = [], []
+    runs = []
     rounding = 2.0 * np.finfo(float).eps * (b - a)
     for n in (panels, panels // 2):
         edges = np.linspace(a, b, n + 1)
@@ -162,7 +163,7 @@ def w2_displacement_1d(equation, bounds, phases: int) -> TransportResult:
         rho0, residual = equation(x)
         w *= rho0
         d = np.zeros_like(x)
-        for _ in range(NEWTON_SWEEPS):
+        for sweep in range(1, NEWTON_SWEEPS + 1):
             g, rho = residual(d)
             if not np.all(rho > 0):
                 raise TransportError("target density not positive along the displacement")
@@ -174,12 +175,12 @@ def w2_displacement_1d(equation, bounds, phases: int) -> TransportResult:
         else:
             raise TransportError(f"displacement Newton did not converge in {NEWTON_SWEEPS} "
                                  f"sweeps (last step {last:.3g} of W2^2 {val:.3g})")
-        vals.append(val)
-        steps.append(last)
-    val = vals[0]
-    err = abs(val - vals[1]) + sum(steps) + 1e-15 * val
+        runs.append((val, last, sweep))
+    (val, coarse), steps, sweeps = zip(*runs)
+    err = abs(val - coarse) + sum(steps) + 1e-15 * val
     return TransportResult(w2=float(np.sqrt(val)), method="quantile1d", error_estimate=err,
-                           w2_squared=val, details={"nodes": PANEL_ORDER * panels})
+                           w2_squared=val, details={"nodes": PANEL_ORDER * panels,
+                                                    "newton_sweeps": list(sweeps)})
 
 
 def w1_grid_1d(m1: GridMeasure, m2: GridMeasure) -> float:
@@ -309,33 +310,37 @@ def _sinkhorn_potentials(loga, logb, C, eps, f, g, max_iter, drift_tol, symmetri
     w, drift, first = 1.0, np.inf, np.inf
     for it in range(1, max_iter + 1):
         s = K @ (a * u if symmetric else b * v)
-        log_domain = not np.all((s > 0.0) & (s < np.inf))
+        log_domain = not (s.min() > 0.0 and s.max() < np.inf)     # NaN too
         if symmetric:
             # self-transport: averaged update is a contraction to f = g
             f_new = g_new = 0.5 * (f + (_softmin(f / eps + loga, C, eps) if log_domain
                                         else f0 - eps * np.log(s)))
             u = np.sqrt(u / s)
             drift = np.max(np.abs(f_new - f))
+            df = dg = f_new - f0        # f = g, and f0 = g0, in self-transport
         else:
             f_new = _softmin(g / eps + logb, C, eps) if log_domain else f0 - eps * np.log(s)
-            drift, last = np.max(np.abs(f_new - f)), drift
+            step = f_new - f
+            drift, last = np.max(np.abs(step)), drift
             first = drift if it == 1 else first
             if drift < drift_tol or drift > first:
                 w = 1.0
             elif it == WARMUP_SWEEPS + 1 and drift < last:
                 w = min(OMEGA_CAP, 2.0 / (1.0 + np.sqrt(1.0 - drift / last)))
-            f_new = f + w * (f_new - f)
-            u = np.exp((f_new - f0) / eps)
+            f_new = f + w * step
+            df = f_new - f0
+            u = np.exp(df / eps)
             r = (a * u) @ K
-            log_domain = log_domain or not np.all((r > 0.0) & (r < np.inf))
+            log_domain = log_domain or not (r.min() > 0.0 and r.max() < np.inf)
             g_new = (_softmin(f_new / eps + loga, C.T, eps) if log_domain
                      else g0 - eps * np.log(r))
             g_new = g + w * (g_new - g)
-            v = np.exp((g_new - g0) / eps)
+            dg = g_new - g0
+            v = np.exp(dg / eps)
         f, g = f_new, g_new
         if drift < drift_tol:
             break
-        if log_domain or max(np.abs(f - f0).max(), np.abs(g - g0).max()) > ABSORB_BOUND * eps:
+        if log_domain or max(np.abs(df).max(), np.abs(dg).max()) > ABSORB_BOUND * eps:
             K, f0, g0, u, v = _absorb(f, g, C, eps)
     return f, g, it, drift
 

@@ -630,11 +630,7 @@ def test_killed_lower_bound_reads_the_upper_bounds_potential(monkeypatch):
     rows = harness.killed_rows(config, basis, config.times)
     xs = np.linspace(0.0, 1.0, 4097)
     k = basis.mode_indices[:, 0]
-    # the ratio table, read at 1 - x on the far half (phi_m/phi_0 is
-    # (-1)^(k+1) times its mirror image), where its own rounding is small
-    far = xs > 0.5
-    mirror = np.where(far, (-1.0) ** (k + 1)[:, None], 1.0)
-    ratio = eval_ratio(basis, np.where(far, 1.0 - xs, xs)) * mirror
+    ratio = eval_ratio(basis, xs)
     assert len(uppers) == len(duals) == len(rows) == 2
     for row, up, (f, f_nodes) in zip(rows, uppers, duals):
         assert np.array_equal(f_nodes, xs)

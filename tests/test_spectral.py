@@ -162,19 +162,20 @@ def test_axis_factors_bitwise(boundary, ratio):
     elif not ratio:
         expected = np.sqrt(2.0) * np.sin(arg)
     else:
-        expected = np.empty_like(arg)
-        expected[:, 1:-1] = np.sin(arg[:, 1:-1]) / np.sin(np.pi * u[1:-1])
-        expected[:, 0] = k
-        expected[:, -1] = k * (-1.0) ** (k + 1)
+        expected = _ratio_factors_reference(k, u)
     assert np.array_equal(_axis_factors(k, u, boundary, ratio), expected)
 
 
 def _ratio_factors_reference(k, u):
-    """The Dirichlet ratio table as it was built before it was built in
-    place: interior columns, then each face."""
+    """The Dirichlet ratio table as a plain expression: interior columns at
+    the nearer face's coordinate v = min(u, 1 - u), times (-1)^(k+1) past
+    u = 1/2, then each face."""
     out = np.empty((k.size, u.size))
-    inner = (u > 0.0) & (u < 1.0)
-    out[:, inner] = np.sin(np.outer(k, np.pi * u[inner])) / np.sin(np.pi * u[inner])
+    v = np.minimum(u, 1.0 - u)
+    inner = v > 0.0
+    sign = np.where(u > 0.5, (-1.0) ** (k + 1)[:, None], 1.0)
+    out[:, inner] = (np.sin(np.outer(k, np.pi * v[inner])) / np.sin(np.pi * v[inner])
+                     * sign[:, inner])
     out[:, u <= 0.0] = k[:, None]
     out[:, u >= 1.0] = (k * (-1.0) ** (k + 1))[:, None]
     return out
@@ -279,21 +280,46 @@ def test_cosine_series_folds_high_phases():
 @pytest.mark.parametrize("M", [1, 2, 128])
 @pytest.mark.parametrize("boundary", [DIRICHLET, NEUMANN])
 def test_ratio_series_matches_the_ratio_table(boundary, M, n):
-    # within 64 ulp of sum |c_m| k_m, face limits k and (-1)^(k+1) k included.
-    # The Dirichlet table divides sin(k pi u), whose phase carries a rounding
-    # of ~eps k pi, by sin(pi u): near u = 1 that is ~5e-11 at M = 128, so
-    # there it is read at 1 - u, where phi_m/phi_0 is (-1)^(k+1) times it
+    # within 64 ulp of sum |c_m| k_m, face limits k and (-1)^(k+1) k included
     basis = _interval_basis(boundary, M)
     c = np.random.default_rng(M * 10_000 + n).standard_normal(M)
     k = basis.mode_indices[:, 0]
-    u = np.linspace(0.0, 1.0, n)
-    table = c @ basis.eval_ratio(u)
-    if boundary == DIRICHLET:
-        far = u > 0.5
-        table[far] = (c * (-1.0) ** (k + 1)) @ basis.eval_ratio(1.0 - u[far])
+    table = c @ basis.eval_ratio(np.linspace(0.0, 1.0, n))
     got = basis.ratio_series(c, n)
     assert got.shape == (n,)
     assert np.max(np.abs(got - table)) <= 64 * EPS * np.sum(np.abs(c) * np.maximum(k, 1))
+
+
+def test_dirichlet_ratio_matches_extended_precision_at_both_faces():
+    # sum_m c_m phi_m / phi_0 within 64 ulp of sum |c_m| k_m, and its
+    # derivative within 64 ulp of sum |c_m| sup |(phi_m / phi_0)'|, where the
+    # sup is pi k (k^2 - 1) / 3, against 40-digit sums.  The phase k pi u
+    # carries a rounding of ~eps k pi u; read at u it is divided by a small
+    # sin(pi u) near u = 1: 122 times the bound at u = 1 - 2^-20, and the
+    # derivative 1750 times its bound at the last node of the basis grid
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    basis = _interval_basis(DIRICHLET, 128)
+    c = np.random.default_rng(0).standard_normal(128)
+    k = basis.mode_indices[:, 0]
+    u = np.array([0.0, basis.grid[0], 2.0**-12, 0.5, 1.0 - 2.0**-12, 1.0 - 2.0**-20,
+                  basis.grid[-1], 1.0])
+    ratio, deriv = c @ basis.eval_ratio(u), c @ basis.eval_ratio_deriv(u)
+    cm = [mp.mpf(float(v)) for v in c]
+    sup = np.pi * k * (k**2 - 1.0) / 3.0
+    for x, got, got_deriv in zip(u, ratio, deriv):
+        if x in (0.0, 1.0):
+            ref = mp.fsum(v * int(kk) * (1 if x == 0.0 or kk % 2 else -1) for v, kk in zip(cm, k))
+            ref_deriv = 0
+        else:
+            s, co = mp.sin(mp.pi * mp.mpf(x)), mp.cos(mp.pi * mp.mpf(x))
+            arg = [int(kk) * mp.pi * mp.mpf(x) for kk in k]
+            ref = mp.fsum(v * mp.sin(a) for v, a in zip(cm, arg)) / s
+            ref_deriv = mp.pi * mp.fsum(v * (int(kk) * mp.cos(a) * s - mp.sin(a) * co)
+                                        for v, kk, a in zip(cm, k, arg)) / s**2
+        assert abs(got - float(ref)) <= 64 * EPS * np.sum(np.abs(c) * k), x
+        assert abs(got_deriv - float(ref_deriv)) <= 64 * EPS * np.sum(np.abs(c) * sup), x
 
 
 def test_numeric_ratio_series_is_the_table_contraction():

@@ -14,8 +14,8 @@ from condemp import (build_analytic_basis, domains, harness, mu_coefficients, pr
 from condemp.domains import NEUMANN, Potential
 from condemp.measures import GridMeasure, InitialDistribution
 from condemp.semigroup import conditional_density, mean_occupation_coefficients, rho_tilde
-from condemp.transport import (DUAL_SEARCH, TransportError, _lower_hull, h_minus1_upper_bound,
-                               kantorovich_dual_lower, logarithmic_mean,
+from condemp.transport import (DUAL_SEARCH, NEWTON_SWEEPS, TransportError, _lower_hull,
+                               h_minus1_upper_bound, kantorovich_dual_lower, logarithmic_mean,
                                w1_grid_1d, w2_displacement_1d, w2_entropic,
                                w2_exact_discrete, w2_quantile_1d)
 
@@ -126,6 +126,8 @@ def test_displacement_error_covers_four_times_the_nodes(case):
                                   2 * res.details["nodes"])
         assert fine.details["nodes"] == 4 * res.details["nodes"]
         assert abs(fine.w2_squared - res.w2_squared) <= res.error_estimate
+        for sweeps in (res.details["newton_sweeps"], fine.details["newton_sweeps"]):
+            assert len(sweeps) == 2 and all(1 <= n <= NEWTON_SWEEPS for n in sweeps)
 
 
 @pytest.mark.parametrize("case", ["convergence_mu", "neumann_delta0"])
@@ -182,30 +184,65 @@ def test_displacement_refuses_a_closed_form_dirichlet_vector():
 
 
 @pytest.mark.parametrize("case", ["convergence_mu", "neumann_delta0"])
-def test_transport_equation_reuses_one_phase_table(monkeypatch, case):
-    # each at(x) allocates one phase table and every chunk of every residual
-    # call overwrites it: bitwise what a fresh np.cumprod table per chunk
-    # gives, over five chunks of 5 rows and a partial one of 3
+def test_transport_equation_chunks_are_bitwise_one_chunk(monkeypatch, case):
+    # chunks of whole 64-point blocks, five full and a partial one of 10,
+    # give the residuals of a single chunk bit for bit
     basis, (f, *_) = _fluctuations(case)
-    beta = basis._cosine_coefficients(f)
-    monkeypatch.setattr(spectral, "PHASE_CHUNK", 5 * int(np.flatnonzero(beta)[-1]))
-    x = np.linspace(0.01, 0.99, 28)
+    x = np.linspace(0.01, 0.99, 330)
     displacements = (np.zeros_like(x), 1e-3 * np.sin(7.0 * x))
     _, residual = basis.transport_equation(f)(x)
-    buffered = [residual(d) for d in displacements]
-
-    tables, cumprod = [], np.cumprod
-
-    def fresh(a, axis, out):
-        tables.append(out)
-        return cumprod(a, axis=axis)
-
-    monkeypatch.setattr(np, "cumprod", fresh)
+    whole = [residual(d) for d in displacements]
+    sizes, powers = [], spectral._powers
+    monkeypatch.setattr(spectral, "_powers", lambda w, k: sizes.append(w.size) or powers(w, k))
+    monkeypatch.setattr(spectral, "PHASE_CHUNK", 1)
     _, residual = basis.transport_equation(f)(x)
-    for got, (g, rho) in zip(buffered, (residual(d) for d in displacements)):
+    for (g, rho), d in zip(whole, displacements):
+        got = residual(d)
         assert np.array_equal(got[0], g) and np.array_equal(got[1], rho)
-    assert [t.shape[0] for t in tables] == [5, 5, 5, 5, 5, 3] * 2
-    assert all(np.shares_memory(t, tables[0]) for t in tables)
+    assert sizes[::2] == [64, 64, 64, 64, 64, 10] * 2
+
+
+def _mp_phase_sums(beta, y, mp):
+    """f = sum_p beta_p cos(p pi y) and D = sum_p beta_p sin(p pi y) / (p pi),
+    p >= 1, in mp arithmetic."""
+    f = D = mp.mpf(0)
+    for p in np.flatnonzero(beta):
+        arg = p * mp.pi * mp.mpf(float(y))
+        f += mp.mpf(float(beta[p])) * mp.cos(arg)
+        D += mp.mpf(float(beta[p])) * mp.sin(arg) / (p * mp.pi)
+    return float(f), float(D)
+
+
+@pytest.mark.parametrize("P", [0, 1, 3, 255, 256, 1024])
+def test_phase_sums_match_extended_precision(P):
+    # a Neumann vector on M = P + 1 modes has phases p = 1 .. P; R Q = P + 1
+    # at P = 0, 3 and 255, and not at 1, 256 and 1024.  At d = 0 the residual
+    # is (D(x), 1 + f(x)); x covers both faces, points within 1e-9 of them,
+    # random nodes and points just outside [0, 1], where Newton can step
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    rng = np.random.default_rng(P)
+    basis = build_analytic_basis(unit_interval(boundary=NEUMANN), P + 1)
+    b = rng.standard_normal(P + 1)
+    b[0] = 0.0
+    beta = basis._cosine_coefficients(b)
+    x = np.sort(np.concatenate([[-1e-3, 0.0, 1e-9, 0.5, 1.0 - 1e-9, 1.0, 1.0 + 1e-3],
+                                rng.random(6)]))
+    D, rho = basis.transport_equation(b)(x)[1](np.zeros_like(x))
+    ref = np.array([_mp_phase_sums(beta, y, mp) for y in x])
+    tol = 64 * np.finfo(float).eps * np.sum(np.abs(beta))
+    assert np.max(np.abs(rho - 1.0 - ref[:, 0])) <= tol
+    assert np.max(np.abs(D - ref[:, 1])) <= tol
+
+
+def test_zero_fluctuation_has_zero_w2():
+    # P = 0: one baby and one giant step, no phase; Newton stops at once
+    for boundary, f in ((NEUMANN, np.zeros(16)), ("dirichlet", np.zeros((16, 16)))):
+        basis = build_analytic_basis(unit_interval(boundary=boundary), 16)
+        res = harness.spectral_w2(basis, f)
+        assert res.w2 == res.w2_squared == res.error_estimate == 0.0
+        assert res.details["newton_sweeps"] == [1, 1]
 
 
 def test_displacement_refuses_a_signed_density():
